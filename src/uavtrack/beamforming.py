@@ -66,20 +66,24 @@ def build_precoder(egi: SensorReading, gs_pos: Position3, cfg: ArrayConfig) -> P
 def quantize_phases(w: np.ndarray, phase_bits: int) -> np.ndarray:
     """Round weight phases to multiples of 2 pi / 2^phase_bits.
 
-    Magnitudes are kept; the result is renormalized to unit norm, which
-    for constant-modulus weights changes nothing. Per-entry phase error is
-    at most pi / 2^phase_bits.
+    Magnitudes are kept; each beam (last axis) is renormalized to unit
+    norm, which for constant-modulus weights changes nothing. Per-entry
+    phase error is at most pi / 2^phase_bits.
     """
     step = 2.0 * math.pi / 2.0**phase_bits
     phases = np.round(np.angle(w) / step) * step
     q = np.abs(w) * np.exp(1j * phases)
-    return q / np.linalg.norm(q)
+    # vecdot sums each row with BLAS dot, as np.linalg.norm does for one
+    # vector, so a stack of beams rounds exactly like each beam alone
+    norm = np.sqrt(np.vecdot(q.real, q.real) + np.vecdot(q.imag, q.imag))
+    return q / norm[..., None]
 
 
-def steer_weights(
-    u0: float, v0: float, cfg: ArrayConfig, phase_bits: int | None = None
-) -> np.ndarray:
-    """Unit-norm ground beam pointed at (u0, v0), optionally phase-quantized."""
+def steer_weights(u0, v0, cfg: ArrayConfig, phase_bits: int | None = None) -> np.ndarray:
+    """Unit-norm ground beam pointed at (u0, v0), optionally phase-quantized.
+
+    Array-valued cosines give one beam per entry, along the last axis.
+    """
     w = steering_upa(u0, v0, cfg.nx, cfg.ny) / math.sqrt(cfg.n_ground)
     if phase_bits is not None:
         w = quantize_phases(w, phase_bits)
@@ -154,11 +158,4 @@ def candidate_set(
 def grid_weights(cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None = None) -> np.ndarray:
     """Stack of beams for every grid point, ordered like cands.points."""
     pts = cands.points
-    ax = np.exp(-1j * math.pi * np.outer(pts[:, 0], np.arange(cfg.nx)))
-    ay = np.exp(-1j * math.pi * np.outer(pts[:, 1], np.arange(cfg.ny)))
-    w = (ax[:, :, None] * ay[:, None, :]).reshape(len(pts), -1) / math.sqrt(cfg.n_ground)
-    if phase_bits is not None:
-        step = 2.0 * math.pi / 2.0**phase_bits
-        w = np.abs(w) * np.exp(1j * np.round(np.angle(w) / step) * step)
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return w
+    return steer_weights(pts[:, 0], pts[:, 1], cfg, phase_bits)

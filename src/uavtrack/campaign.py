@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "write_trace_csv",
     "write_summary_csv",
     "read_summary_csv",
+    "write_csv",
     "emit_figure_tables",
 ]
 
@@ -55,29 +56,6 @@ SCHEMA_VERSION = 1
 
 # purpose tags for the per-trial random streams
 _TRAJ, _GPS, _EGI, _PILOT, _MU = 0, 1, 2, 3, 4
-
-TRACE_HEADER = [
-    "schema_version",
-    "trial",
-    "block",
-    "scheme",
-    "snr_db",
-    "phase_bits",
-    "true_x",
-    "true_y",
-    "true_u",
-    "true_v",
-    "true_ua",
-    "est_u",
-    "est_v",
-    "est_x",
-    "est_y",
-    "gain",
-    "norm_gain",
-    "se_bits",
-    "iterations",
-    "measurements",
-]
 
 SUMMARY_HEADER = [
     "schema_version",
@@ -101,6 +79,7 @@ SUMMARY_HEADER = [
     "mean_iterations",
     "mean_measurements",
 ]
+_SUMMARY_INT_COLUMNS = ("schema_version", "phase_bits", "block", "n")
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -129,6 +108,9 @@ class TraceRow:
     se_bits: float
     iterations: int
     measurements: int
+
+
+TRACE_HEADER = ["schema_version"] + [f.name for f in fields(TraceRow)]
 
 
 @dataclass(frozen=True)
@@ -206,19 +188,11 @@ def _run_scheme_trial(
     for k, state in enumerate(states):
         gps = gps_readings.get(k)
         if gps is not None:
-            vel = track.velocity
             if track.last_fix is not None:
-                vel = derive_velocity(track.last_fix, gps, sched.t_gps)
-            track = TrackState(
-                estimate=track.estimate, velocity=vel, last_fix=gps, last_egi=track.last_egi
-            )
+                track = replace(track, velocity=derive_velocity(track.last_fix, gps, sched.t_gps))
+            track = replace(track, last_fix=gps)
         if (egi := egi_readings.get(k)) is not None:
-            track = TrackState(
-                estimate=track.estimate,
-                velocity=track.velocity,
-                last_fix=track.last_fix,
-                last_egi=egi,
-            )
+            track = replace(track, last_egi=egi)
         prior = predict_position(track, gps, sched.t_block)
 
         true_angles = arrival_angles(state.position, gs_pos)
@@ -242,9 +216,7 @@ def _run_scheme_trial(
 
         est_angles = SpatialAngles(res.u, res.v)
         fused = fuse_position(est_angles, gs_pos, delta_h)
-        track = TrackState(
-            estimate=fused, velocity=track.velocity, last_fix=track.last_fix, last_egi=track.last_egi
-        )
+        track = replace(track, estimate=fused)
 
         w_data = steer_weights(res.u, res.v, arr, quantize_data)
         gain = realized_gain(w_data, heff)
@@ -366,7 +338,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomic(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write header and rows to path atomically: a complete file or none."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -383,36 +356,31 @@ def _write_atomic(path: str, header: list[str], rows) -> None:
 
 
 def write_trace_csv(path: str, result: CampaignResult) -> None:
-    rows = (
-        [SCHEMA_VERSION, r.trial, r.block, r.scheme, _fmt(r.snr_db), r.phase_bits]
-        + [_fmt(v) for v in (r.true_x, r.true_y, r.true_u, r.true_v, r.true_ua)]
-        + [_fmt(v) for v in (r.est_u, r.est_v, r.est_x, r.est_y)]
-        + [_fmt(v) for v in (r.gain, r.norm_gain, r.se_bits)]
-        + [r.iterations, r.measurements]
-        for r in result.rows
-    )
-    _write_atomic(path, TRACE_HEADER, rows)
+    names = TRACE_HEADER[1:]
+    rows = ([SCHEMA_VERSION] + [_fmt(getattr(r, name)) for name in names] for r in result.rows)
+    write_csv(path, TRACE_HEADER, rows)
 
 
 def write_summary_csv(path: str, summary_rows: list[dict]) -> None:
     rows = ([_fmt(row[col]) for col in SUMMARY_HEADER] for row in summary_rows)
-    _write_atomic(path, SUMMARY_HEADER, rows)
+    write_csv(path, SUMMARY_HEADER, rows)
 
 
 def read_summary_csv(path: str) -> list[dict]:
+    """Summary rows typed by column: the counts as ints, scheme as text, and
+    every other column as a float, a blank (no prediction) read as NaN."""
     with open(path, "r", newline="") as f:
         reader = csv.DictReader(f)
         missing = set(SUMMARY_HEADER) - set(reader.fieldnames or ())
         if missing:
             raise ConfigError(f"summary file lacks columns: {sorted(missing)}")
         out = []
-        for raw in reader:
-            row = dict(raw)
-            for col in ("snr_db", "mse_angle", "mse_u", "mse_v", "mae_angle", "mean_norm_gain",
-                        "mean_se", "mean_iterations", "rmse_pos_m"):
-                row[col] = float(row[col]) if row[col] != "" else float("nan")
-            for col in ("schema_version", "phase_bits", "block", "n"):
-                row[col] = int(row[col])
+        for row in reader:
+            for col in SUMMARY_HEADER:
+                if col in _SUMMARY_INT_COLUMNS:
+                    row[col] = int(row[col])
+                elif col != "scheme":
+                    row[col] = float(row[col]) if row[col] != "" else float("nan")
             out.append(row)
         return out
 

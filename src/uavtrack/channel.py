@@ -59,17 +59,23 @@ class LinkBudget:
         return self.es / 10.0 ** (self.snr_db / 10.0)
 
 
-def steering_ula(u: float, n: int) -> np.ndarray:
-    """Line-array response [exp(-j pi k u)] for k = 0 .. n-1."""
-    return np.exp(-1j * np.pi * u * np.arange(n))
+def steering_ula(u, n: int) -> np.ndarray:
+    """Line-array response [exp(-j pi k u)] for k = 0 .. n-1.
+
+    u may be an array; the elements run along a new last axis.
+    """
+    return np.exp(np.multiply.outer((-1j * np.pi) * u, np.arange(n)))
 
 
-def steering_upa(u: float, v: float, nx: int, ny: int) -> np.ndarray:
+def steering_upa(u, v, nx: int, ny: int) -> np.ndarray:
     """Planar-array response, the Kronecker product of the two axis responses.
 
-    Flat index m * ny + n carries the phase -pi * (m * u + n * v).
+    Flat index m * ny + n carries the phase -pi * (m * u + n * v). u and v
+    broadcast against each other; the nx * ny elements run along a new
+    last axis.
     """
-    return np.multiply.outer(steering_ula(u, nx), steering_ula(v, ny)).ravel()
+    a = steering_ula(u, nx)[..., :, None] * steering_ula(v, ny)[..., None, :]
+    return a.reshape(a.shape[:-2] + (nx * ny,))
 
 
 @dataclass(frozen=True)
@@ -115,20 +121,17 @@ def measure_beams(
     weights: np.ndarray,
     budget: LinkBudget,
     rng: np.random.Generator,
-    shared_noise: bool = False,
 ) -> np.ndarray:
     """Received pilot magnitudes |w_i^H h s + w_i^H n_i| for each beam row.
 
     Beams are sounded sequentially, so each row sees a fresh noise
-    realization by default: the combined noise w^H n is drawn directly as
-    a complex Gaussian with variance sigma_n^2 * ||w||^2, which is its
-    exact distribution for isotropic receiver noise. With shared_noise a
-    single noise vector is drawn and combined through every beam, modeling
-    one snapshot observed by all combiners.
+    realization: the combined noise w^H n is drawn directly as a complex
+    Gaussian with variance sigma_n^2 * ||w||^2, which is its exact
+    distribution for isotropic receiver noise.
 
     Parameters
     ----------
-    weights : np.ndarray, shape (n_beams, n_ground)
+    weights : np.ndarray, shape (n_beams, n_ground) or (n_ground,)
         One combining vector per row, unit norm each.
 
     Returns
@@ -139,11 +142,7 @@ def measure_beams(
     s = np.sqrt(budget.es)
     signal = w.conj() @ heff.vector * s
     sig_n = np.sqrt(budget.sigma_n2 / 2.0)
-    if shared_noise:
-        n = sig_n * (rng.standard_normal(w.shape[1]) + 1j * rng.standard_normal(w.shape[1]))
-        noise = w.conj() @ n
-    else:
-        norms = np.linalg.norm(w, axis=1)
-        z = rng.standard_normal((w.shape[0], 2))
-        noise = sig_n * norms * (z[:, 0] + 1j * z[:, 1])
+    norms = np.linalg.norm(w, axis=1)
+    z = rng.standard_normal((w.shape[0], 2))
+    noise = sig_n * norms * (z[:, 0] + 1j * z[:, 1])
     return np.abs(signal + noise)

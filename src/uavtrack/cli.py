@@ -13,7 +13,9 @@ import argparse
 import os
 import sys
 
-from .campaign import emit_figure_tables, read_summary_csv, run_campaign, write_summary_csv, write_trace_csv
+from .campaign import (
+    emit_figure_tables, read_summary_csv, run_campaign, write_csv, write_summary_csv, write_trace_csv
+)
 from .config import SCHEMES, ConfigError, ScenarioConfig
 
 __all__ = ["main"]
@@ -120,9 +122,7 @@ def _cmd_tables(args) -> int:
     out_path = args.out if args.out is not None else os.path.join(
         os.path.dirname(os.path.abspath(summary_path)), f"{figure}.csv"
     )
-    from .campaign import _write_atomic
-
-    _write_atomic(out_path, header, table)
+    write_csv(out_path, header, table)
     print(f"wrote {out_path} ({len(table)} rows)")
     return 0
 

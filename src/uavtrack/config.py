@@ -44,7 +44,6 @@ class ScenarioConfig:
     # link
     link_es: float = 1.0
     link_snr_db: tuple[float, ...] = (20.0,)
-    link_shared_noise: bool = False
     # schedule
     schedule_t_block: float = 0.010
     schedule_t_gps: float = 0.050

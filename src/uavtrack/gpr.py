@@ -120,6 +120,19 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_finite(x: np.ndarray, y: np.ndarray, first_row: int = 0) -> None:
+    """Reject NaN or infinite training data, naming the first bad row;
+    dpotrf factorizes a NaN Gram matrix without complaint."""
+    if math.isfinite(x.sum() + y.sum()):  # else a non-finite entry, or overflow
+        return
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"non-finite training point at row {first_row + i}: x={x[i].tolist()}, y={y[i]!r}"
+        )
+
+
 class _Objective:
     """Marginal likelihood and gradient over one training set.
 
@@ -132,6 +145,7 @@ class _Objective:
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
         self.y = np.asarray(y, dtype=float)
+        _check_finite(self.x, self.y)
         self.n = len(self.y)
         self.d2 = [
             (self.x[:, None, d] - self.x[None, :, d]) ** 2 for d in range(self.x.shape[1])
@@ -210,11 +224,6 @@ class _Objective:
 
 def _unpack(hp: Hyperparams):
     return hp.sigma_s, hp.lengthscales, hp.sigma_n
-
-
-def _chol_with_escalation(x: np.ndarray, hp: Hyperparams) -> tuple[np.ndarray, float]:
-    _, chol, jitter = _Objective(x, np.zeros(len(np.atleast_2d(x)))).chol(*_unpack(hp))
-    return chol, jitter
 
 
 def log_marginal_likelihood(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> float:
@@ -356,6 +365,7 @@ class GprModel:
         x_new = np.asarray(x_new, dtype=float).reshape(1, 2)
         x_all = np.concatenate((self.x, x_new))
         y_all = np.append(self.y, y_new)
+        _check_finite(x_new, y_all[-1:], first_row=self.n)
         k_cross = kernel(self.x, x_new, self.hp)[:, 0]
         t = _solve_lower(self.chol, k_cross)
         d2 = self.hp.sigma_s**2 + self.hp.sigma_n**2 + self.jitter - t @ t
@@ -372,11 +382,10 @@ class GprModel:
 
 def make_model(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GprModel:
     """Factorize the training set once; posterior queries reuse the cache."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    chol, jitter = _chol_with_escalation(x, hp)
-    alpha = _cho_solve(chol, y)
-    return GprModel(x=x, y=y, hp=hp, chol=chol, alpha=alpha, jitter=jitter)
+    obj = _Objective(x, y)
+    _, chol, jitter = obj.chol(*_unpack(hp))
+    alpha = _cho_solve(chol, obj.y)
+    return GprModel(x=obj.x, y=obj.y, hp=hp, chol=chol, alpha=alpha, jitter=jitter)
 
 
 def posterior(model: GprModel, xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

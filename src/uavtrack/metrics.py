@@ -17,7 +17,6 @@ import numpy as np
 from .channel import ArrayConfig, EffectiveChannel, LinkBudget
 
 __all__ = [
-    "BlockMetrics",
     "MaePrediction",
     "axis_gain_ratio",
     "beam_gain",
@@ -26,7 +25,6 @@ __all__ = [
     "spectral_efficiency",
     "predicted_gain_from_mae",
     "predict_from_mae",
-    "block_metrics",
 ]
 
 
@@ -96,20 +94,3 @@ def predict_from_mae(mae: float, cfg: ArrayConfig, budget: LinkBudget) -> MaePre
     """Campaign-level prediction: gain and spectral efficiency at the MAE."""
     gain = predicted_gain_from_mae(mae, cfg)
     return MaePrediction(mae=mae, gain=gain, se=spectral_efficiency(gain, budget))
-
-
-@dataclass(frozen=True)
-class BlockMetrics:
-    """Per-block link outcome for one scheme."""
-
-    gain: float
-    norm_gain: float
-    se: float
-
-
-def block_metrics(gain: float, cfg: ArrayConfig, budget: LinkBudget) -> BlockMetrics:
-    return BlockMetrics(
-        gain=gain,
-        norm_gain=normalized_gain(gain, cfg),
-        se=spectral_efficiency(gain, budget),
-    )

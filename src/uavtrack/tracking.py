@@ -154,14 +154,15 @@ def _initial_surface(
     rng: np.random.Generator,
     quantized: bool,
 ):
-    """Measure every candidate beam and fit the surrogate to the sweep."""
+    """Measure every candidate beam and fit the surrogate to the sweep.
+
+    Returns the model and the grid point with the largest magnitude."""
     weights = grid_weights(cands, cfg, est.phase_bits if quantized else None)
     y = measure_beams(heff, weights, budget, rng) / _norm_factor(cfg)
     x = cands.points
     fit = fit_hyperparams(x, y, opts=_fit_opts(est, refit=False))
     model = make_model(x, y, fit.hyperparams)
-    start = x[int(np.argmax(y))]
-    return model, y, start
+    return model, x[int(np.argmax(y))]
 
 
 def refine_hybrid(
@@ -184,7 +185,7 @@ def refine_hybrid(
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
-    model, _, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=False)
+    model, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=False)
     xstar = _clip_unit_disk(xstar)
     measurements = cands.size
     eps = est.epsilon_scale * math.sqrt(budget.es)
@@ -194,7 +195,7 @@ def refine_hybrid(
     y_prev = None
     for t in range(1, est.max_iterations + 1):
         w = steer_weights(float(xstar[0]), float(xstar[1]), cfg)
-        y_star = float(measure_beams(heff, w[None, :], budget, rng)[0]) / _norm_factor(cfg)
+        y_star = float(measure_beams(heff, w, budget, rng)[0]) / _norm_factor(cfg)
         measurements += 1
         iterations = t
         model = model.with_point(xstar, y_star)
@@ -230,7 +231,7 @@ def refine_analog(
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
-    model, _, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=True)
+    model, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=True)
     xstar = _clip_unit_disk(xstar)
     eps = est.epsilon_scale * math.sqrt(budget.es)
     sign = -1.0 if est.literal_update_sign else 1.0
@@ -280,13 +281,8 @@ def baseline_perturbation(
     measurements = 0
     p_prev = None
     for t in range(1, est.max_iterations + 1):
-        probes = np.array(
-            [
-                steer_weights(float(xstar[0]), float(xstar[1]), cfg),
-                steer_weights(float(xstar[0] + delta_p), float(xstar[1]), cfg),
-                steer_weights(float(xstar[0]), float(xstar[1] + delta_p), cfg),
-            ]
-        )
+        u, v = xstar
+        probes = steer_weights(np.array([u, u + delta_p, u]), np.array([v, v, v + delta_p]), cfg)
         y3 = measure_beams(heff, probes, budget, rng) / norm
         p0, pu, pv = (y3**2).tolist()
         measurements += 3

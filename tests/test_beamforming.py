@@ -156,7 +156,21 @@ def test_grid_weights_matches_per_point_construction():
     for bits in (None, 6):
         stack = grid_weights(c, CFG, bits)
         ref = np.array([steer_weights(u, v, CFG, bits) for u, v in c.points])
-        assert np.max(np.abs(stack - ref)) < 1e-12
+        assert np.array_equal(stack, ref)
+
+
+def test_array_valued_cosines_equal_scalar_calls():
+    rng = np.random.default_rng(4)
+    u, v = rng.uniform(-0.9, 0.9, (2, 3, 5))
+    a = steering_upa(u, v, 8, 4)
+    assert a.shape == (3, 5, 32)
+    assert steering_ula(u, 8).shape == (3, 5, 8)
+    for bits in (None, 3, 6):
+        w = steer_weights(u, v, CFG, bits)
+        assert w.shape == (3, 5, 64)
+        for i, j in np.ndindex(u.shape):
+            assert np.array_equal(a[i, j], steering_upa(u[i, j], v[i, j], 8, 4))
+            assert np.array_equal(w[i, j], steer_weights(float(u[i, j]), float(v[i, j]), CFG, bits))
 
 
 def test_kronecker_index_consistency():

@@ -14,6 +14,7 @@ from uavtrack.campaign import (
     run_campaign,
     stream,
     summarize,
+    write_csv,
     write_summary_csv,
     write_trace_csv,
 )
@@ -193,6 +194,28 @@ def test_summary_csv_round_trip(tmp_path):
         assert abs(got["mean_norm_gain"] - want["mean_norm_gain"]) < 1e-12
 
 
+def test_summary_csv_round_trip_types_every_column(tmp_path):
+    # a mae past the main lobe leaves the prediction columns blank
+    rows = [_mk_row(0, 0, 0.01), _mk_row(1, 0, -0.01), _mk_row(0, 0, 0.8, scheme="gps_only")]
+    summary = summarize(rows, ScenarioConfig())
+    path = tmp_path / "summary.csv"
+    write_summary_csv(str(path), summary)
+    back = read_summary_csv(str(path))
+    assert len(back) == len(summary)
+    ints = {"schema_version", "phase_bits", "block", "n"}
+    for got, want in zip(back, summary):
+        for col in SUMMARY_HEADER:
+            if col in ints:
+                assert type(got[col]) is int and got[col] == want[col], col
+            elif col == "scheme":
+                assert got[col] == want[col]
+            elif want[col] == "":
+                assert math.isnan(got[col]), col
+            else:
+                assert type(got[col]) is float and got[col] == float(f"{want[col]:.12g}"), col
+    assert math.isnan(back[-1]["pred_gain_at_mae"]) and math.isnan(back[-1]["pred_se_at_mae"])
+
+
 def test_read_summary_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("scheme,snr_db\nhybrid_gpr,20\n")
@@ -208,15 +231,13 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_atomic_write_cleans_up_on_failure(tmp_path):
-    from uavtrack.campaign import _write_atomic
-
     def bad_rows():
         yield ["1"]
         raise RuntimeError("boom")
 
     target = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
-        _write_atomic(str(target), ["col"], bad_rows())
+        write_csv(str(target), ["col"], bad_rows())
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
 

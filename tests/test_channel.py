@@ -119,17 +119,6 @@ def test_measure_deterministic_given_seed():
     assert np.array_equal(y1, y2)
 
 
-def test_shared_noise_flag():
-    h = _aligned_channel()
-    w = steering_upa(0.1, -0.2, 8, 8) / 8.0
-    stacked = np.vstack([w, w])
-    budget = LinkBudget(es=1.0, snr_db=0.0)
-    y_shared = measure_beams(h, stacked, budget, np.random.default_rng(1), shared_noise=True)
-    assert y_shared[0] == y_shared[1]
-    y_seq = measure_beams(h, stacked, budget, np.random.default_rng(1))
-    assert y_seq[0] != y_seq[1]
-
-
 def test_rician_mean_against_direct_oracle():
     # aligned beam at SNR 20 dB: signal magnitude sqrt(512), projected noise
     # CN(0, sigma_n^2); compare the sampler against a direct 1e6-draw oracle

@@ -384,3 +384,31 @@ def test_jitter_gives_up_at_the_cap(monkeypatch):
     # base, then tenfold steps up to and including the cap, then no more
     assert len(diagonals) == 5
     assert abs(float(np.mean(diagonals[-1])) - hp.sigma_s**2 - cap) <= 1e-6 * cap
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_non_finite_training_data_raises(where):
+    rng = np.random.default_rng(17)
+    x, y = _random_set(rng, 8)
+    if where == "x":
+        x[5, 1] = np.nan
+    else:
+        y[5] = np.nan
+    for call in (
+        lambda: make_model(x, y, HP),
+        lambda: fit_hyperparams(x, y),
+        lambda: log_marginal_likelihood(x, y, HP),
+    ):
+        with pytest.raises(ValueError, match="non-finite training point at row 5"):
+            call()
+
+
+def test_with_point_rejects_non_finite_point():
+    rng = np.random.default_rng(18)
+    x, y = _random_set(rng, 8)
+    model = make_model(x, y, HP)
+    with pytest.raises(ValueError, match="non-finite training point at row 8"):
+        model.with_point(np.array([0.1, np.nan]), 0.5)
+    with pytest.raises(ValueError, match="non-finite training point at row 8"):
+        model.with_point(np.array([0.1, 0.2]), float("inf"))
+    assert model.n == 8 and np.isfinite(model.alpha).all()

@@ -9,7 +9,6 @@ from uavtrack.geometry import SpatialAngles
 from uavtrack.metrics import (
     axis_gain_ratio,
     beam_gain,
-    block_metrics,
     normalized_gain,
     predict_from_mae,
     predicted_gain_from_mae,
@@ -106,11 +105,3 @@ def test_predict_from_mae_bundle():
     assert p.mae == 0.05
     assert abs(p.gain - beam_gain(0.05, 0.05, CFG)) < 1e-12
     assert abs(p.se - spectral_efficiency(p.gain, budget)) < 1e-12
-
-
-def test_block_metrics_bundle():
-    budget = LinkBudget(es=2.0, snr_db=10.0)
-    m = block_metrics(10.0, CFG, budget)
-    assert m.gain == 10.0
-    assert abs(m.norm_gain - 10.0 / math.sqrt(512.0)) < 1e-12
-    assert abs(m.se - spectral_efficiency(10.0, budget)) < 1e-12
