@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .mobility import sample_initial, step
 from .sensors import derive_velocity, egi_measure, ground_gps_measure
 from .tracking import (
     RefineResult,
-    TrackState,
     baseline_codebook,
     baseline_gps_only,
     baseline_perturbation,
@@ -164,110 +163,88 @@ def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, rng) -> Re
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _run_scheme_trial(
-    cfg: ScenarioConfig,
-    trial: int,
-    scheme: str,
-    snr_db: float,
-    phase_bits: int,
-    states,
-    mus,
-    gps_readings,
-    egi_readings,
-) -> list[TraceRow]:
+def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
+    """Every row of one trial, in (SNR, phase bits, scheme, block) order.
+
+    The world is built once: the trajectory, the fading and the sensor
+    readings, and per block the GPS fix, the velocity differenced from the
+    two latest fixes, the precoder from the latest navigation-unit reading,
+    the effective channel and the true angles. No scheme can change any of
+    these, so each scheme run carries only its own position estimate.
+    """
     arr = cfg.arrays()
     sched = cfg.schedule()
-    budget = cfg.budget(snr_db)
-    est = cfg.estimator(phase_bits)
     gs_pos = Position3(cfg.scenario_gs_x, cfg.scenario_gs_y, cfg.scenario_gs_height)
     delta_h = cfg.scenario_uav_height - cfg.scenario_gs_height
-    quantize_data = phase_bits if scheme in ("analog_gpr", "codebook_max") else None
 
-    track = TrackState(estimate=states[0].position)
-    rows = []
+    states, mus = simulate_truth(cfg, trial)
+    gps_readings, egi_readings = simulate_readings(cfg, trial, states)
+    world = []
+    velocity, last_fix, last_egi = (0.0, 0.0), None, None
     for k, state in enumerate(states):
         gps = gps_readings.get(k)
         if gps is not None:
-            if track.last_fix is not None:
-                track = replace(track, velocity=derive_velocity(track.last_fix, gps, sched.t_gps))
-            track = replace(track, last_fix=gps)
-        if (egi := egi_readings.get(k)) is not None:
-            track = replace(track, last_egi=egi)
-        prior = predict_position(track, gps, sched.t_block)
-
-        true_angles = arrival_angles(state.position, gs_pos)
+            if last_fix is not None:
+                velocity = derive_velocity(last_fix, gps, sched.t_gps)
+            last_fix = gps
+        last_egi = egi_readings.get(k, last_egi)
+        arrival = arrival_angles(state.position, gs_pos)
         g_u = Position3(
             gs_pos.x - state.position.x,
             gs_pos.y - state.position.y,
             gs_pos.h - state.position.h,
         )
-        true_ua = departure_angle(g_u, state.heading, state.attitude)
-        precoder = build_precoder(track.last_egi, gs_pos, arr)
-        heff = effective_channel(
-            SpatialAngles(true_angles.u, true_angles.v, true_ua),
-            precoder.vector,
-            complex(mus[k]),
-            arr,
+        truth = SpatialAngles(
+            arrival.u, arrival.v, departure_angle(g_u, state.heading, state.attitude)
         )
+        precoder = build_precoder(last_egi, gs_pos, arr)
+        heff = effective_channel(truth, precoder.vector, complex(mus[k]), arr)
+        world.append((state.position, gps, velocity, truth, heff))
 
-        seed = arrival_angles(prior, gs_pos)
-        pilot_rng = stream(cfg.run_seed, trial, _PILOT, k)
-        res = _refine(scheme, heff, seed, arr, budget, est, pilot_rng)
-
-        est_angles = SpatialAngles(res.u, res.v)
-        fused = fuse_position(est_angles, gs_pos, delta_h)
-        track = replace(track, estimate=fused)
-
-        w_data = steer_weights(res.u, res.v, arr, quantize_data)
-        gain = realized_gain(w_data, heff)
-        rows.append(
-            TraceRow(
-                trial=trial,
-                block=k,
-                scheme=scheme,
-                snr_db=snr_db,
-                phase_bits=phase_bits,
-                true_x=state.position.x,
-                true_y=state.position.y,
-                true_u=true_angles.u,
-                true_v=true_angles.v,
-                true_ua=true_ua,
-                est_u=res.u,
-                est_v=res.v,
-                est_x=fused.x,
-                est_y=fused.y,
-                gain=gain,
-                norm_gain=normalized_gain(gain, arr),
-                se_bits=spectral_efficiency(gain, budget),
-                iterations=res.iterations,
-                measurements=res.measurements,
-            )
-        )
+    rows = []
+    for snr_db in cfg.link_snr_db:
+        budget = cfg.budget(snr_db)
+        for phase_bits in cfg.estimator_phase_bits:
+            est = cfg.estimator(phase_bits)
+            for scheme in cfg.run_schemes:
+                quantize_data = phase_bits if scheme in ("analog_gpr", "codebook_max") else None
+                estimate = states[0].position
+                for k, (position, gps, velocity, truth, heff) in enumerate(world):
+                    prior = predict_position(estimate, velocity, gps, sched.t_block)
+                    seed = arrival_angles(prior, gs_pos)
+                    pilot_rng = stream(cfg.run_seed, trial, _PILOT, k)
+                    res = _refine(scheme, heff, seed, arr, budget, est, pilot_rng)
+                    estimate = fuse_position(SpatialAngles(res.u, res.v), gs_pos, delta_h)
+                    gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
+                    rows.append(
+                        TraceRow(
+                            trial=trial,
+                            block=k,
+                            scheme=scheme,
+                            snr_db=snr_db,
+                            phase_bits=phase_bits,
+                            true_x=position.x,
+                            true_y=position.y,
+                            true_u=truth.u,
+                            true_v=truth.v,
+                            true_ua=truth.u_a,
+                            est_u=res.u,
+                            est_v=res.v,
+                            est_x=estimate.x,
+                            est_y=estimate.y,
+                            gain=gain,
+                            norm_gain=normalized_gain(gain, arr),
+                            se_bits=spectral_efficiency(gain, budget),
+                            iterations=res.iterations,
+                            measurements=res.measurements,
+                        )
+                    )
     return rows
 
 
 def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
     """Run trials x sweep x schemes with paired noise, in a fixed order."""
-    rows: list[TraceRow] = []
-    for trial in range(cfg.run_trials):
-        states, mus = simulate_truth(cfg, trial)
-        gps_readings, egi_readings = simulate_readings(cfg, trial, states)
-        for snr_db in cfg.link_snr_db:
-            for phase_bits in cfg.estimator_phase_bits:
-                for scheme in cfg.run_schemes:
-                    rows.extend(
-                        _run_scheme_trial(
-                            cfg,
-                            trial,
-                            scheme,
-                            snr_db,
-                            phase_bits,
-                            states,
-                            mus,
-                            gps_readings,
-                            egi_readings,
-                        )
-                    )
+    rows = [row for trial in range(cfg.run_trials) for row in _run_trial(cfg, trial)]
     return CampaignResult(config=cfg, rows=tuple(rows))
 
 

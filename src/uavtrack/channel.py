@@ -89,8 +89,6 @@ class EffectiveChannel:
 
     vector: np.ndarray
     alignment: complex
-    mu: complex
-    angles: SpatialAngles
 
 
 def effective_channel(
@@ -113,7 +111,7 @@ def effective_channel(
         raise ValueError(f"precoder length {precoder_vector.shape} does not match nu={cfg.nu}")
     alignment = complex(steering_ula(angles.u_a, cfg.nu) @ precoder_vector)
     vector = mu * alignment * steering_upa(angles.u, angles.v, cfg.nx, cfg.ny)
-    return EffectiveChannel(vector=vector, alignment=alignment, mu=mu, angles=angles)
+    return EffectiveChannel(vector=vector, alignment=alignment)
 
 
 def measure_beams(

@@ -16,33 +16,29 @@ import sys
 from .campaign import (
     emit_figure_tables, read_summary_csv, run_campaign, write_csv, write_summary_csv, write_trace_csv
 )
-from .config import SCHEMES, ConfigError, ScenarioConfig
+from .config import SCHEMES, ConfigError, ScenarioConfig, parse_value
 
 __all__ = ["main"]
 
 ENV_PREFIX = "UAVTRACK"
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"{ENV_PREFIX}_{name}")
+def _option(flag: str | None, name: str, typ=str):
+    """A flag's text, else UAVTRACK_<name>, parsed like a config file value.
+
+    None when neither is set; a malformed value is a ConfigError naming
+    where it came from.
+    """
+    source, raw = f"--{name.lower().replace('_', '-')}", flag
     if raw is None:
-        return fallback
+        source = f"{ENV_PREFIX}_{name}"
+        raw = os.environ.get(source)
+    if raw is None:
+        return None
     try:
-        return cast(raw)
+        return parse_value(raw, typ)
     except ValueError as e:
-        raise ConfigError(f"bad environment override {ENV_PREFIX}_{name}={raw!r}: {e}") from e
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+        raise ConfigError(f"bad value {source}={raw!r}: {e}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,17 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo campaign from a config file")
     sim.add_argument("--config", default=None, help="path to a scenario config file")
-    sim.add_argument("--trials", type=int, default=None, help="override run.trials")
-    sim.add_argument("--seed", type=int, default=None, help="override run.seed")
+    sim.add_argument("--trials", default=None, help="override run.trials")
+    sim.add_argument("--seed", default=None, help="override run.seed")
     sim.add_argument("--out", default=None, help="output directory (default: runs)")
     sim.add_argument(
-        "--schemes", type=_str_list, default=None,
-        help=f"comma list, subset of: {', '.join(SCHEMES)}",
+        "--schemes", default=None, help=f"comma list, subset of: {', '.join(SCHEMES)}"
     )
-    sim.add_argument("--snr-db", type=_float_list, default=None, help="comma list, overrides link.snr_db")
-    sim.add_argument(
-        "--phase-bits", type=_int_list, default=None, help="comma list, overrides estimator.phase_bits"
-    )
+    sim.add_argument("--snr-db", default=None, help="comma list, overrides link.snr_db")
+    sim.add_argument("--phase-bits", default=None, help="comma list, overrides estimator.phase_bits")
 
     tab = sub.add_parser("tables", help="emit a per-figure CSV from a summary")
     tab.add_argument("--summary", default=None, help="path to a summary.csv")
@@ -78,31 +71,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    config_path = args.config if args.config is not None else _env("CONFIG", str, None)
-    if config_path is None:
-        cfg = ScenarioConfig()
-    else:
-        cfg = ScenarioConfig.from_file(config_path)
-    overrides = {}
-    trials = args.trials if args.trials is not None else _env("TRIALS", int, None)
-    seed = args.seed if args.seed is not None else _env("SEED", int, None)
-    schemes = args.schemes if args.schemes is not None else _env("SCHEMES", _str_list, None)
-    snr = args.snr_db if args.snr_db is not None else _env("SNR_DB", _float_list, None)
-    bits = args.phase_bits if args.phase_bits is not None else _env("PHASE_BITS", _int_list, None)
-    if trials is not None:
-        overrides["run_trials"] = trials
-    if seed is not None:
-        overrides["run_seed"] = seed
-    if schemes is not None:
-        overrides["run_schemes"] = schemes
-    if snr is not None:
-        overrides["link_snr_db"] = snr
-    if bits is not None:
-        overrides["estimator_phase_bits"] = bits
+    config_path = _option(args.config, "CONFIG")
+    cfg = ScenarioConfig() if config_path is None else ScenarioConfig.from_file(config_path)
+    overrides = {
+        field: value
+        for field, value in (
+            ("run_trials", _option(args.trials, "TRIALS", int)),
+            ("run_seed", _option(args.seed, "SEED", int)),
+            ("run_schemes", _option(args.schemes, "SCHEMES", tuple[str, ...])),
+            ("link_snr_db", _option(args.snr_db, "SNR_DB", tuple[float, ...])),
+            ("estimator_phase_bits", _option(args.phase_bits, "PHASE_BITS", tuple[int, ...])),
+        )
+        if value is not None
+    }
     if overrides:
         cfg = cfg.override(**overrides)
 
-    out_dir = args.out if args.out is not None else _env("OUT", str, "runs")
+    out_dir = _option(args.out, "OUT")
+    if out_dir is None:
+        out_dir = "runs"
     result = run_campaign(cfg)
     trace_path = os.path.join(out_dir, "trace.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -113,8 +100,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    summary_path = args.summary if args.summary is not None else _env("SUMMARY", str, None)
-    figure = args.figure if args.figure is not None else _env("FIGURE", str, None)
+    summary_path = _option(args.summary, "SUMMARY")
+    figure = _option(args.figure, "FIGURE")
     if summary_path is None or figure is None:
         raise ConfigError("tables needs --summary and --figure")
     rows = read_summary_csv(summary_path)

@@ -6,8 +6,6 @@ schema; unknown keys and malformed lines are rejected with their line
 number. Lists (SNR sweeps, schemes, phase bits) are comma separated.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -72,7 +70,6 @@ class ScenarioConfig:
     estimator_refit_every: int = 5
     estimator_phase_bits: tuple[int, ...] = (6,)
     estimator_perturbation_delta: float = float("nan")  # nan = half grid step
-    estimator_literal_update_sign: bool = False
     estimator_fit_noise: bool = True
     # run
     run_trials: int = 200
@@ -88,6 +85,8 @@ class ScenarioConfig:
             raise ConfigError("run.trials and run.blocks must be at least 1")
         if not self.link_snr_db or not self.estimator_phase_bits:
             raise ConfigError("snr_db and phase_bits sweeps must be nonempty")
+        if not self.run_schemes:
+            raise ConfigError("run.schemes must name at least one scheme")
         # constructing the module configs validates their own ranges
         self.arrays()
         self.schedule()
@@ -148,7 +147,6 @@ class ScenarioConfig:
                 refit_every=self.estimator_refit_every,
                 phase_bits=phase_bits,
                 perturbation_delta=None if math.isnan(delta) else delta,
-                literal_update_sign=self.estimator_literal_update_sign,
                 fit_noise=self.estimator_fit_noise,
             )
         except ValueError as e:
@@ -214,14 +212,4 @@ def parse_value(text: str, typ):
     raise ValueError(f"unsupported type {typ}")
 
 
-# dataclass annotations surface as strings under deferred evaluation
-_TYPES_BY_NAME = {
-    "int": int,
-    "float": float,
-    "bool": bool,
-    "str": str,
-    "tuple[float, ...]": tuple[float, ...],
-    "tuple[int, ...]": tuple[int, ...],
-    "tuple[str, ...]": tuple[str, ...],
-}
-_FIELD_TYPES = {f.name: _TYPES_BY_NAME[str(f.type)] for f in fields(ScenarioConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

@@ -38,9 +38,6 @@ class Position3:
     y: float
     h: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.h], dtype=float)
-
 
 @dataclass(frozen=True)
 class Attitude:

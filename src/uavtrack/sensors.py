@@ -76,16 +76,12 @@ class Schedule:
 
 @dataclass(frozen=True)
 class SensorReading:
-    """One sensor output; truth is never stored here.
-
-    velocity is only carried on GPS readings once two fixes exist, and
-    heading only on navigation-unit readings.
-    """
+    """One sensor output; truth is never stored here. Only navigation-unit
+    readings carry a heading."""
 
     kind: str  # "gps" or "egi"
     block: int
     position: Position3
-    velocity: tuple[float, float] | None = None
     heading: float | None = None
 
 
@@ -95,8 +91,8 @@ def ground_gps_measure(
     """GPS fix of the UAV: horizontal position plus per-axis Gaussian noise.
 
     Height is reported exactly; horizontal errors dominate at the
-    altitudes of interest. Velocity stays unset until a pair of fixes is
-    differenced by the caller.
+    altitudes of interest. Velocity comes from differencing two fixes with
+    derive_velocity.
     """
     ex, ey = rng.normal(0.0, cfg.sigma_gps, size=2)
     pos = Position3(state.position.x + float(ex), state.position.y + float(ey), state.position.h)

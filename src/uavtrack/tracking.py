@@ -28,7 +28,6 @@ from .sensors import SensorReading
 
 __all__ = [
     "EstimatorConfig",
-    "TrackState",
     "RefineResult",
     "predict_position",
     "fuse_position",
@@ -46,8 +45,7 @@ class EstimatorConfig:
 
     epsilon_scale multiplies sqrt(es) to form the stop threshold on
     consecutive magnitudes (or powers for the perturbation baseline).
-    literal_update_sign replays the update x - eta * g instead of the
-    ascent direction. perturbation_delta defaults to half the grid step.
+    perturbation_delta defaults to half the grid step.
     """
 
     eta: float = 0.01
@@ -56,7 +54,6 @@ class EstimatorConfig:
     refit_every: int = 5
     phase_bits: int = 6
     perturbation_delta: float | None = None
-    literal_update_sign: bool = False
     fit_noise: bool = True
     fit_max_iter: int = 15
     refit_max_iter: int = 6
@@ -76,18 +73,9 @@ class RefineResult:
     measurements: int
 
 
-@dataclass(frozen=True)
-class TrackState:
-    """Receiver-side memory between blocks: fused position, the velocity
-    from the latest GPS pair, and the most recent raw readings."""
-
-    estimate: Position3
-    velocity: tuple[float, float] = (0.0, 0.0)
-    last_fix: SensorReading | None = None
-    last_egi: SensorReading | None = None
-
-
-def predict_position(state: TrackState, gps: SensorReading | None, t_block: float) -> Position3:
+def predict_position(
+    estimate: Position3, velocity: tuple[float, float], gps: SensorReading | None, t_block: float
+) -> Position3:
     """Position prior for the current block.
 
     A fresh GPS fix is taken as is; otherwise the previous fused estimate
@@ -95,12 +83,8 @@ def predict_position(state: TrackState, gps: SensorReading | None, t_block: floa
     """
     if gps is not None:
         return gps.position
-    vx, vy = state.velocity
-    return Position3(
-        state.estimate.x + t_block * vx,
-        state.estimate.y + t_block * vy,
-        state.estimate.h,
-    )
+    vx, vy = velocity
+    return Position3(estimate.x + t_block * vx, estimate.y + t_block * vy, estimate.h)
 
 
 def fuse_position(angles: SpatialAngles, gs_pos: Position3, delta_h: float) -> Position3:
@@ -189,7 +173,6 @@ def refine_hybrid(
     xstar = _clip_unit_disk(xstar)
     measurements = cands.size
     eps = est.epsilon_scale * math.sqrt(budget.es)
-    sign = -1.0 if est.literal_update_sign else 1.0
     iterations = 0
     appended = 0
     y_prev = None
@@ -204,7 +187,7 @@ def refine_hybrid(
             fit = fit_hyperparams(model.x, model.y, init=model.hp, opts=_fit_opts(est, refit=True))
             model = make_model(model.x, model.y, fit.hyperparams)
         g = posterior_mean_gradient(model, xstar)
-        xstar = _clip_unit_disk(cands.clip(xstar + sign * est.eta * g))
+        xstar = _clip_unit_disk(cands.clip(xstar + est.eta * g))
         if y_prev is not None and abs(y_star - y_prev) < eps:
             break
         y_prev = y_star
@@ -234,13 +217,12 @@ def refine_analog(
     model, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=True)
     xstar = _clip_unit_disk(xstar)
     eps = est.epsilon_scale * math.sqrt(budget.es)
-    sign = -1.0 if est.literal_update_sign else 1.0
     iterations = 0
     f_prev = None
     for t in range(1, est.max_iterations + 1):
         f_star = float(posterior(model, xstar)[0][0])
         g = posterior_mean_gradient(model, xstar)
-        xstar = _clip_unit_disk(cands.clip(xstar + sign * est.eta * g))
+        xstar = _clip_unit_disk(cands.clip(xstar + est.eta * g))
         iterations = t
         if f_prev is not None and abs(f_star - f_prev) < eps:
             break

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavtrack import campaign
 from uavtrack.campaign import (
     SCHEMA_VERSION,
     SUMMARY_HEADER,
@@ -12,6 +13,8 @@ from uavtrack.campaign import (
     emit_figure_tables,
     read_summary_csv,
     run_campaign,
+    simulate_readings,
+    simulate_truth,
     stream,
     summarize,
     write_csv,
@@ -132,6 +135,37 @@ def test_gps_only_dead_reckons_between_fixes():
     est_x = [r.est_x for r in rows]
     diffs = [est_x[k] - est_x[k - 1] for k in range(16, 20)]
     assert max(diffs) - min(diffs) < 1e-6
+
+
+def test_gps_only_block_after_a_fix_pair_is_dead_reckoned():
+    # fixes arrive at blocks 0 and 5; block 6 has none, so its estimate is
+    # the block-5 fix advanced by one block of the velocity between them
+    cfg = ScenarioConfig(run_trials=1, run_blocks=7, run_schemes=("gps_only",))
+    gps, _ = simulate_readings(cfg, 0, simulate_truth(cfg, 0)[0])
+    assert sorted(gps) == [0, 5]
+    first, last = gps[0].position, gps[5].position
+    t_gps, t_block = cfg.schedule_t_gps, cfg.schedule_t_block
+    want_x = last.x + t_block * ((last.x - first.x) / t_gps)
+    want_y = last.y + t_block * ((last.y - first.y) / t_gps)
+    row = run_campaign(cfg).rows[6]
+    assert row.block == 6
+    assert abs(row.est_x - want_x) < 1e-9
+    assert abs(row.est_y - want_y) < 1e-9
+
+
+def test_channel_and_precoder_built_once_per_trial_block(monkeypatch):
+    cfg = _small_cfg()  # 2 schemes x 2 SNRs share each trial's world
+    calls = {"effective_channel": 0, "build_precoder": 0}
+    for name in calls:
+        original = getattr(campaign, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(campaign, name, counted)
+    run_campaign(cfg)
+    assert calls == {name: cfg.run_trials * cfg.run_blocks for name in calls}
 
 
 def test_summarize_per_block_and_campaign_rows():

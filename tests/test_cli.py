@@ -93,6 +93,28 @@ def test_bad_env_value_exit_2(tmp_path, monkeypatch, capsys):
     assert "UAVTRACK_TRIALS" in capsys.readouterr().err
 
 
+def test_empty_scheme_list_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--schemes", ","]) == 2
+    assert "--schemes" in capsys.readouterr().err
+    monkeypatch.setenv("UAVTRACK_SCHEMES", " , ")
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "UAVTRACK_SCHEMES" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_list_flags_parse_like_config_values(tmp_path):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    code = main(
+        ["simulate", "--config", cfg, "--out", str(out), "--snr-db", "10, 20", "--phase-bits", "4,5"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+    assert {(r[4], r[5]) for r in rows} == {(s, b) for s in ("10", "20") for b in ("4", "5")}
+
+
 def test_tables_from_simulated_summary(tmp_path):
     cfg = _write_config(
         tmp_path,

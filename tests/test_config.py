@@ -101,6 +101,13 @@ def test_invalid_module_values_become_config_errors():
         ScenarioConfig(link_snr_db=())
 
 
+def test_empty_scheme_list_rejected():
+    with pytest.raises(ConfigError, match="run.schemes"):
+        ScenarioConfig(run_schemes=())
+    with pytest.raises(ConfigError, match="empty list"):
+        ScenarioConfig.from_text("run.schemes = ,\n")
+
+
 def test_override_replaces_and_revalidates():
     cfg = ScenarioConfig().override(run_trials=3, run_seed=17)
     assert cfg.run_trials == 3 and cfg.run_seed == 17

@@ -45,7 +45,7 @@ def test_gps_exact_when_noiseless():
     r = ground_gps_measure(STATE, cfg, np.random.default_rng(0), block=5)
     assert r.kind == "gps" and r.block == 5
     assert r.position == STATE.position
-    assert r.velocity is None and r.heading is None
+    assert r.heading is None
 
 
 def test_gps_rms_error():
@@ -71,7 +71,6 @@ def test_egi_exact_when_noiseless():
     assert r.kind == "egi" and r.block == 2
     assert r.position == STATE.position
     assert r.heading == STATE.heading
-    assert r.velocity is None
 
 
 def test_egi_heading_includes_yaw():

@@ -12,7 +12,6 @@ from uavtrack.geometry import Position3, SpatialAngles, arrival_angles
 from uavtrack.gpr import FitOptions, fit_hyperparams, make_model, posterior, posterior_mean_gradient
 from uavtrack.tracking import (
     EstimatorConfig,
-    TrackState,
     baseline_codebook,
     baseline_gps_only,
     baseline_perturbation,
@@ -37,14 +36,12 @@ def _chan(tu, tv, ua=0.3, cfg=CFG):
 def test_predict_uses_fresh_fix():
     from uavtrack.sensors import SensorReading
 
-    state = TrackState(estimate=Position3(0.0, 0.0, 200.0), velocity=(9.0, 9.0))
     fix = SensorReading(kind="gps", block=5, position=Position3(12.0, -3.0, 200.0))
-    assert predict_position(state, fix, 0.01) == fix.position
+    assert predict_position(Position3(0.0, 0.0, 200.0), (9.0, 9.0), fix, 0.01) == fix.position
 
 
 def test_predict_dead_reckons_with_latest_velocity():
-    state = TrackState(estimate=Position3(10.0, 20.0, 200.0), velocity=(10.0, 0.0))
-    p = predict_position(state, None, 0.01)
+    p = predict_position(Position3(10.0, 20.0, 200.0), (10.0, 0.0), None, 0.01)
     assert abs(p.x - 10.1) < 1e-12
     assert abs(p.y - 20.0) < 1e-12
     assert p.h == 200.0
@@ -52,8 +49,8 @@ def test_predict_dead_reckons_with_latest_velocity():
 
 def test_prediction_holds_last_estimate_between_fixes():
     # an erroneous fused position persists until the next fix arrives
-    bad = TrackState(estimate=Position3(500.0, 0.0, 200.0), velocity=(0.0, 0.0))
-    assert predict_position(bad, None, 0.01) == Position3(500.0, 0.0, 200.0)
+    bad = Position3(500.0, 0.0, 200.0)
+    assert predict_position(bad, (0.0, 0.0), None, 0.01) == bad
 
 
 def test_fuse_inverts_arrival_geometry():
