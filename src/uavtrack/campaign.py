@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .beamforming import build_precoder, steer_weights
+from .blas import one_blas_thread
 from .channel import effective_channel
 from .config import ConfigError, ScenarioConfig
 from .geometry import Position3, SpatialAngles, arrival_angles, departure_angle
@@ -243,8 +244,12 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
 
 
 def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
-    """Run trials x sweep x schemes with paired noise, in a fixed order."""
-    rows = [row for trial in range(cfg.run_trials) for row in _run_trial(cfg, trial)]
+    """Run trials x sweep x schemes with paired noise, in a fixed order.
+
+    BLAS runs on one thread meanwhile (see uavtrack.blas).
+    """
+    with one_blas_thread():
+        rows = [row for trial in range(cfg.run_trials) for row in _run_trial(cfg, trial)]
     return CampaignResult(config=cfg, rows=tuple(rows))
 
 

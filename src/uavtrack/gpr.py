@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 __all__ = [
     "Hyperparams",
@@ -150,7 +150,6 @@ class _Objective:
         self.d2 = [
             (self.x[:, None, d] - self.x[None, :, d]) ** 2 for d in range(self.x.shape[1])
         ]
-        self.eye = np.eye(self.n)
         self.neg_half_y = -0.5 * self.y
         self.lml_const = 0.5 * self.n * LOG2PI
         self.scratch = np.empty((self.n, self.n))
@@ -211,8 +210,13 @@ class _Objective:
     ) -> np.ndarray:
         # 0.5 a^T dK a - 0.5 tr(Kn^-1 dK) = 0.5 sum(A * dK) with
         # A = alpha alpha^T - Kn^-1, valid because every dK is symmetric.
+        # Kn^-1 = W^T W with W = L^-1 takes about 0.6 of the time of
+        # solving against the identity at the sizes the tracker fits.
+        w, info = dtrtri(chol, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtri failed with info {info}")
         a = np.multiply.outer(alpha, alpha)
-        a -= _cho_solve(chol, self.eye)
+        a -= w.T @ w
         ak = a * k
         grads = [float(ak.sum()) / sigma_s]
         for d2, ell in zip(self.d2, lengthscales):

@@ -62,11 +62,13 @@ def normalized_gain(gain: float, cfg: ArrayConfig) -> float:
     return gain / math.sqrt(cfg.nu * cfg.nx * cfg.ny)
 
 
-def spectral_efficiency(
-    gain: float, budget: LinkBudget, weight_norm2: float = 1.0
-) -> float:
-    """log2(1 + es * gain^2 / (sigma_n^2 * ||w||^2)), bits/s/Hz."""
-    return math.log2(1.0 + budget.es * gain * gain / (budget.sigma_n2 * weight_norm2))
+def spectral_efficiency(gain: float, budget: LinkBudget) -> float:
+    """log2(1 + es * gain^2 / sigma_n^2), bits/s/Hz.
+
+    Noise is not scaled by the beam's norm: every beam the package builds,
+    ground or UAV, is unit-norm.
+    """
+    return math.log2(1.0 + budget.es * gain * gain / budget.sigma_n2)
 
 
 def predicted_gain_from_mae(mae: float, cfg: ArrayConfig) -> float:

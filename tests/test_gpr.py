@@ -122,8 +122,9 @@ def test_lml_permutation_invariant():
 def test_likelihood_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     h = 1e-6
-    for _ in range(20):
-        x, y = _random_set(rng)
+    # 20 small sets, then campaign-sized ones (a grid sweep has 36-86 points)
+    for n in [10] * 20 + [36, 86] * 3:
+        x, y = _random_set(rng, n)
         hp = Hyperparams(
             sigma_s=rng.uniform(0.5, 2.0),
             lengthscales=(rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)),
