@@ -15,13 +15,14 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .beamforming import build_precoder, steer_weights
 from .blas import one_blas_thread
 from .channel import effective_channel
-from .config import ConfigError, ScenarioConfig
+from .config import ANALOG_SCHEMES, SCHEMES, ConfigError, ScenarioConfig
 from .geometry import Position3, SpatialAngles, arrival_angles, departure_angle
 from .metrics import normalized_gain, predict_from_mae, realized_gain, spectral_efficiency
 from .mobility import sample_initial, step
@@ -49,6 +50,7 @@ __all__ = [
     "write_summary_csv",
     "read_summary_csv",
     "write_csv",
+    "FIGURES",
     "emit_figure_tables",
 ]
 
@@ -151,6 +153,7 @@ def simulate_readings(cfg: ScenarioConfig, trial: int, states):
 
 
 def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, rng) -> RefineResult:
+    # an if-chain, not a table: bench/layers.py traces each scheme by its name here
     if scheme == "hybrid_gpr":
         return refine_hybrid(heff, seed, arr, budget, est, rng)
     if scheme == "analog_gpr":
@@ -208,7 +211,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
         for phase_bits in cfg.estimator_phase_bits:
             est = cfg.estimator(phase_bits)
             for scheme in cfg.run_schemes:
-                quantize_data = phase_bits if scheme in ("analog_gpr", "codebook_max") else None
+                quantize_data = phase_bits if scheme in ANALOG_SCHEMES else None
                 estimate = states[0].position
                 for k, (position, gps, velocity, truth, heff) in enumerate(world):
                     prior = predict_position(estimate, velocity, gps, sched.t_block)
@@ -314,10 +317,9 @@ def summarize(rows, cfg: ScenarioConfig) -> list[dict]:
 # CSV I/O --------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _fmt(value):
+    """Floats to 12 significant digits; other values as they are."""
+    return f"{value:.12g}" if isinstance(value, float) else value
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -369,57 +371,51 @@ def read_summary_csv(path: str) -> list[dict]:
 
 # figure tables ---------------------------------------------------------------
 
-_FIG_FAMILIES = {
-    "fig7": ("hybrid_gpr", "perturbation", "gps_only"),
-    "fig9": ("analog_gpr", "codebook_max"),
+
+class _Figure(NamedTuple):
+    per_block: bool  # per-block rows, else campaign rows (block -1)
+    family: tuple[str, ...] | None  # schemes shown, None for all
+    axis: str  # column that needs at least two values
+    missing: str  # error when it has fewer
+    keys: tuple[str, ...]  # key columns, in sort order
+    values: tuple[str, ...]
+
+
+_BLOCK_KEYS = ("scheme", "snr_db", "phase_bits", "block")
+_BLOCKS = "needs per-block rows from a run with blocks >= 2"
+_SNR_KEYS = ("scheme", "snr_db", "phase_bits")
+_SNR_SWEEP = "needs an snr_db sweep (at least two SNR points)"
+_SNR_VALUES = ("mse_angle", "mean_iterations", "mean_se")
+FIGURES = {
+    "fig5": _Figure(True, None, "block", _BLOCKS, _BLOCK_KEYS, ("rmse_pos_m",)),
+    "fig6": _Figure(True, None, "block", _BLOCKS, _BLOCK_KEYS, ("mean_norm_gain", "mean_se")),
+    "fig7": _Figure(
+        False, tuple(s for s in SCHEMES if s not in ANALOG_SCHEMES), "snr_db", _SNR_SWEEP,
+        _SNR_KEYS, _SNR_VALUES,
+    ),
+    "fig8": _Figure(
+        False, None, "phase_bits", "needs a phase_bits sweep (at least two values)",
+        ("scheme", "phase_bits", "snr_db"), ("mse_angle",),
+    ),
+    "fig9": _Figure(False, ANALOG_SCHEMES, "snr_db", _SNR_SWEEP, _SNR_KEYS, _SNR_VALUES),
 }
 
 
 def emit_figure_tables(summary_rows: list[dict], figure: str) -> tuple[list[str], list[list]]:
-    """Tidy per-figure tables from a summary; errors name any missing axis.
-
-    fig5/fig6 need per-block rows of a multi-block run; fig7/fig9 need an
-    snr_db sweep over their scheme family; fig8 needs a phase_bits sweep.
-    """
-    fig = figure.lower()
-    if fig in ("fig5", "fig6"):
-        rows = [r for r in summary_rows if r["block"] >= 0]
-        if len({r["block"] for r in rows}) < 2:
-            raise ConfigError(f"{fig} needs per-block rows from a run with blocks >= 2")
-        rows.sort(key=lambda r: (r["scheme"], r["snr_db"], r["phase_bits"], r["block"]))
-        if fig == "fig5":
-            header = ["scheme", "snr_db", "phase_bits", "block", "rmse_pos_m"]
-            return header, [
-                [r["scheme"], _fmt(r["snr_db"]), r["phase_bits"], r["block"], _fmt(r["rmse_pos_m"])]
-                for r in rows
-            ]
-        header = ["scheme", "snr_db", "phase_bits", "block", "mean_norm_gain", "mean_se"]
-        return header, [
-            [r["scheme"], _fmt(r["snr_db"]), r["phase_bits"], r["block"],
-             _fmt(r["mean_norm_gain"]), _fmt(r["mean_se"])]
-            for r in rows
-        ]
-    if fig in ("fig7", "fig9"):
-        family = _FIG_FAMILIES[fig]
-        rows = [r for r in summary_rows if r["block"] == -1 and r["scheme"] in family]
-        if not rows:
-            raise ConfigError(f"{fig} needs schemes from {family} in the summary")
-        if len({r["snr_db"] for r in rows}) < 2:
-            raise ConfigError(f"{fig} needs an snr_db sweep (at least two SNR points)")
-        rows.sort(key=lambda r: (r["scheme"], r["snr_db"], r["phase_bits"]))
-        header = ["scheme", "snr_db", "phase_bits", "mse_angle", "mean_iterations", "mean_se"]
-        return header, [
-            [r["scheme"], _fmt(r["snr_db"]), r["phase_bits"], _fmt(r["mse_angle"]),
-             _fmt(r["mean_iterations"]), _fmt(r["mean_se"])]
-            for r in rows
-        ]
-    if fig == "fig8":
-        rows = [r for r in summary_rows if r["block"] == -1]
-        if len({r["phase_bits"] for r in rows}) < 2:
-            raise ConfigError("fig8 needs a phase_bits sweep (at least two values)")
-        rows.sort(key=lambda r: (r["scheme"], r["phase_bits"], r["snr_db"]))
-        header = ["scheme", "phase_bits", "snr_db", "mse_angle"]
-        return header, [
-            [r["scheme"], r["phase_bits"], _fmt(r["snr_db"]), _fmt(r["mse_angle"])] for r in rows
-        ]
-    raise ConfigError(f"unknown figure {figure!r}; expected fig5..fig9")
+    """Tidy per-figure table from a summary, cut as FIGURES says; errors
+    name the figure and any missing axis."""
+    name = figure.lower()
+    if name not in FIGURES:
+        raise ConfigError(f"unknown figure {figure!r}; expected fig5..fig9")
+    fig = FIGURES[name]
+    rows = [
+        r for r in summary_rows
+        if (r["block"] >= 0) == fig.per_block and (fig.family is None or r["scheme"] in fig.family)
+    ]
+    if fig.family is not None and not rows:
+        raise ConfigError(f"{name} needs schemes from {fig.family} in the summary")
+    if len({r[fig.axis] for r in rows}) < 2:
+        raise ConfigError(f"{name} {fig.missing}")
+    rows.sort(key=lambda r: tuple(r[c] for c in fig.keys))
+    header = list(fig.keys + fig.values)
+    return header, [[_fmt(r[c]) for c in header] for r in rows]

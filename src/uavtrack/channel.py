@@ -52,7 +52,7 @@ class LinkBudget:
 
     def __post_init__(self):
         if self.es <= 0.0:
-            raise ValueError("pilot energy must be positive")
+            raise ValueError(f"es (pilot energy) must be positive, got {self.es}")
 
     @property
     def sigma_n2(self) -> float:

@@ -14,7 +14,8 @@ import os
 import sys
 
 from .campaign import (
-    emit_figure_tables, read_summary_csv, run_campaign, write_csv, write_summary_csv, write_trace_csv
+    FIGURES, emit_figure_tables, read_summary_csv, run_campaign, write_csv, write_summary_csv,
+    write_trace_csv,
 )
 from .config import SCHEMES, ConfigError, ScenarioConfig, parse_value
 
@@ -63,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("tables", help="emit a per-figure CSV from a summary")
     tab.add_argument("--summary", default=None, help="path to a summary.csv")
     tab.add_argument(
-        "--figure", default=None, choices=["fig5", "fig6", "fig7", "fig8", "fig9"],
-        help="which figure table to emit",
+        "--figure", default=None, choices=list(FIGURES), help="which figure table to emit"
     )
     tab.add_argument("--out", default=None, help="output CSV path (default: <figure>.csv beside the summary)")
     return parser

@@ -8,15 +8,18 @@ number. Lists (SNR sweeps, schemes, phase bits) are comma separated.
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .channel import ArrayConfig, LinkBudget
 from .mobility import MobilityConfig
 from .sensors import Schedule, SensorNoiseConfig
 from .tracking import EstimatorConfig
 
-__all__ = ["ConfigError", "ScenarioConfig", "SCHEMES", "parse_value"]
+__all__ = ["ConfigError", "ScenarioConfig", "SCHEMES", "ANALOG_SCHEMES", "parse_value"]
 
 SCHEMES = ("hybrid_gpr", "analog_gpr", "gps_only", "perturbation", "codebook_max")
+# schemes with a phase-quantized data beam: the fig9 family; the rest make up fig7
+ANALOG_SCHEMES = ("analog_gpr", "codebook_max")
 
 KMH = 1.0 / 3.6
 
@@ -87,12 +90,21 @@ class ScenarioConfig:
             raise ConfigError("snr_db and phase_bits sweeps must be nonempty")
         if not self.run_schemes:
             raise ConfigError("run.schemes must name at least one scheme")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    if not (f.name == "estimator_perturbation_delta" and math.isnan(v)):
+                        raise ConfigError(f"{f.name.replace('_', '.', 1)} must be finite, got {v!r}")
         # constructing the module configs validates their own ranges
-        self.arrays()
-        self.schedule()
-        self.sensors()
-        self.mobility()
-        self.estimator(self.estimator_phase_bits[0])
+        views = [("array", self.arrays), ("schedule", self.schedule), ("sensors", self.sensors)]
+        views += [("mobility", self.mobility), ("link", partial(self.budget, self.link_snr_db[0]))]
+        views += [("estimator", partial(self.estimator, b)) for b in self.estimator_phase_bits]
+        for section, view in views:
+            try:
+                view()
+            except ValueError as e:
+                raise ConfigError(f"{section}: {e}") from e
 
     # module-config views -------------------------------------------------
 
@@ -103,14 +115,11 @@ class ScenarioConfig:
         return LinkBudget(es=self.link_es, snr_db=snr_db)
 
     def schedule(self) -> Schedule:
-        try:
-            return Schedule(
-                t_block=self.schedule_t_block,
-                t_gps=self.schedule_t_gps,
-                t_ins=self.schedule_t_ins,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return Schedule(
+            t_block=self.schedule_t_block,
+            t_gps=self.schedule_t_gps,
+            t_ins=self.schedule_t_ins,
+        )
 
     def sensors(self) -> SensorNoiseConfig:
         return SensorNoiseConfig(
@@ -120,37 +129,31 @@ class ScenarioConfig:
         )
 
     def mobility(self) -> MobilityConfig:
-        try:
-            return MobilityConfig(
-                rho=self.mobility_rho,
-                speed_min=self.mobility_speed_min_kmh * KMH,
-                speed_max=self.mobility_speed_max_kmh * KMH,
-                sigma_speed=self.mobility_sigma_speed,
-                sigma_heading=self.mobility_sigma_heading,
-                noise_mode=self.mobility_noise_mode,
-                t_block=self.schedule_t_block,
-                init_xy_min=self.scenario_init_min,
-                init_xy_max=self.scenario_init_max,
-                uav_height=self.scenario_uav_height,
-                gs_height=self.scenario_gs_height,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return MobilityConfig(
+            rho=self.mobility_rho,
+            speed_min=self.mobility_speed_min_kmh * KMH,
+            speed_max=self.mobility_speed_max_kmh * KMH,
+            sigma_speed=self.mobility_sigma_speed,
+            sigma_heading=self.mobility_sigma_heading,
+            noise_mode=self.mobility_noise_mode,
+            t_block=self.schedule_t_block,
+            init_xy_min=self.scenario_init_min,
+            init_xy_max=self.scenario_init_max,
+            uav_height=self.scenario_uav_height,
+            gs_height=self.scenario_gs_height,
+        )
 
     def estimator(self, phase_bits: int) -> EstimatorConfig:
         delta = self.estimator_perturbation_delta
-        try:
-            return EstimatorConfig(
-                eta=self.estimator_eta,
-                epsilon_scale=self.estimator_epsilon_scale,
-                max_iterations=self.estimator_max_iterations,
-                refit_every=self.estimator_refit_every,
-                phase_bits=phase_bits,
-                perturbation_delta=None if math.isnan(delta) else delta,
-                fit_noise=self.estimator_fit_noise,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return EstimatorConfig(
+            eta=self.estimator_eta,
+            epsilon_scale=self.estimator_epsilon_scale,
+            max_iterations=self.estimator_max_iterations,
+            refit_every=self.estimator_refit_every,
+            phase_bits=phase_bits,
+            perturbation_delta=None if math.isnan(delta) else delta,
+            fit_noise=self.estimator_fit_noise,
+        )
 
     # parsing --------------------------------------------------------------
 

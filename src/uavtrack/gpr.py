@@ -18,7 +18,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 __all__ = [
     "Hyperparams",
-    "FitOptions",
     "FitResult",
     "GprModel",
     "kernel",
@@ -34,6 +33,10 @@ __all__ = [
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
+STEP0 = 0.5  # initial log-space step scale per fit iteration
+MAX_HALVINGS = 20  # backtracking halvings per fit iteration
+GRAD_TOL = 1e-4  # the fit stops on a smaller log-space gradient norm
+BOUND_LO, BOUND_HI = 1e-8, 1e8  # clamp on every fitted parameter, natural units
 
 
 @dataclass(frozen=True)
@@ -55,17 +58,6 @@ class Hyperparams:
         if with_noise:
             v.append(self.sigma_n)
         return np.array(v)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 60
-    step0: float = 0.5  # initial log-space step scale per iteration
-    max_halvings: int = 20
-    grad_tol: float = 1e-4
-    fit_noise: bool = True  # freeze sigma_n when False
-    bound_lo: float = 1e-8  # clamp on every parameter, natural units
-    bound_hi: float = 1e8
 
 
 @dataclass(frozen=True)
@@ -103,18 +95,8 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for a lower triangular L.
-
-    LAPACK reads Fortran order: a C-ordered factor (as built by
-    GprModel.with_point) is handed over as its transpose, an upper factor,
-    and the transposed system is solved. This is what
-    scipy.linalg.solve_triangular does; the two forms round differently in
-    the last bit, so keeping both keeps results bit-identical to it.
-    """
-    if chol.flags.f_contiguous:
-        x, info = dtrtrs(chol, b, lower=1)
-    else:
-        x, info = dtrtrs(chol.T, b, lower=0, trans=1)
+    """Solve L x = b for a lower triangular L."""
+    x, info = dtrtrs(chol, b, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular triangular factor at diagonal {info - 1}")
     return x
@@ -264,7 +246,8 @@ def fit_hyperparams(
     x: np.ndarray,
     y: np.ndarray,
     init: Hyperparams | None = None,
-    opts: FitOptions = FitOptions(),
+    max_iter: int = 60,
+    fit_noise: bool = True,
 ) -> FitResult:
     """Maximize the log marginal likelihood by log-space gradient ascent.
 
@@ -273,14 +256,15 @@ def fit_hyperparams(
     until the likelihood improves; the accepted-likelihood trace is
     therefore monotone. Stops on a small log-space gradient, on an
     exhausted backtracking line search, or after max_iter iterations.
+    sigma_n stays at its initial value when fit_noise is False.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     hp = init if init is not None else default_init(x, y)
-    lo, hi = math.log(opts.bound_lo), math.log(opts.bound_hi)
+    lo, hi = math.log(BOUND_LO), math.log(BOUND_HI)
 
-    if opts.fit_noise and hp.sigma_n == 0.0:
-        hp = replace(hp, sigma_n=opts.bound_lo)
+    if fit_noise and hp.sigma_n == 0.0:
+        hp = replace(hp, sigma_n=BOUND_LO)
     frozen_sigma_n = float(hp.sigma_n)
     obj = _Objective(x, y)
 
@@ -288,29 +272,29 @@ def fit_hyperparams(
         # exp(t) doubles as the chain-rule factor to log space
         vals = np.exp(t)
         v = vals.tolist()
-        params = (v[0], (v[1], v[2]), v[3] if opts.fit_noise else frozen_sigma_n)
+        params = (v[0], (v[1], v[2]), v[3] if fit_noise else frozen_sigma_n)
         return (vals, params) + obj.evaluate(*params)
 
     # theta lives in a list: the line search does a handful of scalar
     # operations per probe, which cost less on floats than on small arrays
-    theta = np.clip(np.log(hp.as_vector(opts.fit_noise)), lo, hi).tolist()
+    theta = np.clip(np.log(hp.as_vector(fit_noise)), lo, hi).tolist()
     vals, params, k, chol, alpha, lml = evaluate(theta)
     trace = [lml]
     warning = None
     it = 0
     # Step length carries over between iterations (doubled, capped at
-    # step0) so the line search rarely needs more than one probe.
-    step = opts.step0
-    for it in range(1, opts.max_iter + 1):
-        g_log = obj.gradient(*params, k, chol, alpha, opts.fit_noise) * vals
-        if math.sqrt(g_log.dot(g_log)) < opts.grad_tol:
+    # STEP0) so the line search rarely needs more than one probe.
+    step = STEP0
+    for it in range(1, max_iter + 1):
+        g_log = obj.gradient(*params, k, chol, alpha, fit_noise) * vals
+        if math.sqrt(g_log.dot(g_log)) < GRAD_TOL:
             it -= 1
             break
         g_log = g_log.tolist()
         scale = max(1.0, *map(abs, g_log))
-        step = min(2.0 * step, opts.step0)
+        step = min(2.0 * step, STEP0)
         accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(MAX_HALVINGS):
             cand_theta = [min(max(t + step * g / scale, lo), hi) for t, g in zip(theta, g_log)]
             if all(abs(c - t) <= 1e-8 + 1e-5 * abs(t) for c, t in zip(cand_theta, theta)):
                 break
@@ -376,7 +360,7 @@ class GprModel:
         if d2 <= 0.0:
             return make_model(x_all, y_all, self.hp)
         n = self.n
-        chol = np.zeros((n + 1, n + 1))
+        chol = np.zeros((n + 1, n + 1), order="F")  # dpotrf's layout: LAPACK reads it uncopied
         chol[:n, :n] = self.chol
         chol[n, :n] = t
         chol[n, n] = math.sqrt(d2)

@@ -23,7 +23,7 @@ import numpy as np
 from .beamforming import CandidateSet, candidate_set, grid_weights, steer_weights
 from .channel import ArrayConfig, EffectiveChannel, LinkBudget, measure_beams
 from .geometry import Position3, SpatialAngles, position_from_angles
-from .gpr import FitOptions, fit_hyperparams, make_model, posterior, posterior_mean_gradient
+from .gpr import fit_hyperparams, make_model, posterior, posterior_mean_gradient
 from .sensors import SensorReading
 
 __all__ = [
@@ -37,6 +37,10 @@ __all__ = [
     "baseline_perturbation",
     "baseline_codebook",
 ]
+
+# iteration caps of the initial hyperparameter fit and of each warm-started refit
+FIT_MAX_ITER = 15
+REFIT_MAX_ITER = 6
 
 
 @dataclass(frozen=True)
@@ -55,14 +59,14 @@ class EstimatorConfig:
     phase_bits: int = 6
     perturbation_delta: float | None = None
     fit_noise: bool = True
-    fit_max_iter: int = 15
-    refit_max_iter: int = 6
 
     def __post_init__(self):
         if self.eta <= 0.0 or self.epsilon_scale < 0.0:
             raise ValueError("eta must be positive and epsilon_scale nonnegative")
         if self.max_iterations < 0 or self.refit_every < 1:
             raise ValueError("bad iteration limits")
+        if self.phase_bits < 1:
+            raise ValueError(f"phase_bits must be at least 1, got {self.phase_bits}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,6 @@ def _clip_unit_disk(point: np.ndarray) -> np.ndarray:
     return point
 
 
-def _fit_opts(est: EstimatorConfig, refit: bool) -> FitOptions:
-    return FitOptions(
-        max_iter=est.refit_max_iter if refit else est.fit_max_iter,
-        fit_noise=est.fit_noise,
-    )
-
-
 def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> CandidateSet | None:
     """Seeded search grid, or None when it carries no angular information.
 
@@ -144,7 +141,7 @@ def _initial_surface(
     weights = grid_weights(cands, cfg, est.phase_bits if quantized else None)
     y = measure_beams(heff, weights, budget, rng) / _norm_factor(cfg)
     x = cands.points
-    fit = fit_hyperparams(x, y, opts=_fit_opts(est, refit=False))
+    fit = fit_hyperparams(x, y, max_iter=FIT_MAX_ITER, fit_noise=est.fit_noise)
     model = make_model(x, y, fit.hyperparams)
     return model, x[int(np.argmax(y))]
 
@@ -184,7 +181,7 @@ def refine_hybrid(
         model = model.with_point(xstar, y_star)
         appended += 1
         if appended % est.refit_every == 0:
-            fit = fit_hyperparams(model.x, model.y, init=model.hp, opts=_fit_opts(est, refit=True))
+            fit = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER, est.fit_noise)
             model = make_model(model.x, model.y, fit.hyperparams)
         g = posterior_mean_gradient(model, xstar)
         xstar = _clip_unit_disk(cands.clip(xstar + est.eta * g))

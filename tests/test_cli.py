@@ -104,6 +104,22 @@ def test_empty_scheme_list_exit_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_non_finite_flag_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--snr-db", "nan"]) == 2
+    assert "link.snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_range_config_value_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL + "link.es = -1\n")
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "link: es (pilot energy) must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_flags_parse_like_config_values(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"

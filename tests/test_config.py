@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -132,3 +133,38 @@ def test_shipped_configs_parse(tmp_path):
     for path in sorted(root.glob("*.conf")):
         cfg = ScenarioConfig.from_file(str(path))
         assert cfg.run_trials >= 1
+
+
+# (key, value as written in a config file, expected message); each of these
+# loaded at one time and then corrupted or crashed the campaign
+BAD_VALUES = [
+    ("sensors.sigma_gps_m", "nan", "sensors.sigma_gps_m must be finite"),
+    ("estimator.phase_bits", "0", "estimator: phase_bits must be at least 1"),
+    ("estimator.phase_bits", "6, -1", "estimator: phase_bits must be at least 1"),
+    ("estimator.epsilon_scale", "nan", "estimator.epsilon_scale must be finite"),
+    ("estimator.eta", "nan", "estimator.eta must be finite"),
+    ("estimator.perturbation_delta", "inf", "estimator.perturbation_delta must be finite"),
+    ("link.snr_db", "nan", "link.snr_db must be finite"),
+    ("link.snr_db", "10, -inf", "link.snr_db must be finite"),
+    ("link.es", "nan", "link.es must be finite"),
+    ("link.es", "-1", r"link: es \(pilot energy\) must be positive"),
+]
+
+
+@pytest.mark.parametrize("key, text, message", BAD_VALUES)
+def test_bad_values_rejected_by_constructor(key, text, message):
+    attr = key.replace(".", "_")
+    typ = {f.name: f.type for f in fields(ScenarioConfig)}[attr]
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**{attr: parse_value(text, typ)})
+
+
+@pytest.mark.parametrize("key, text, message", BAD_VALUES)
+def test_bad_values_rejected_by_config_text(key, text, message):
+    with pytest.raises(ConfigError, match=f"^myfile: {message}"):
+        ScenarioConfig.from_text(f"run.trials = 2\n{key} = {text}\n", source="myfile")
+
+
+def test_nan_perturbation_delta_is_the_default_sentinel():
+    cfg = ScenarioConfig.from_text("estimator.perturbation_delta = nan\n")
+    assert cfg.estimator(6).perturbation_delta is None

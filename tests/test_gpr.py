@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from uavtrack import gpr
 from uavtrack.gpr import (
-    FitOptions,
     Hyperparams,
     default_init,
     fit_hyperparams,
@@ -177,23 +177,24 @@ def test_fit_trace_is_monotone():
     x = rng.uniform(-0.3, 0.3, (40, 2))
     truth = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
     y = _sample_surface(rng, x, truth)
-    res = fit_hyperparams(x, y, opts=FitOptions(max_iter=30))
+    res = fit_hyperparams(x, y, max_iter=30)
     assert len(res.trace) >= 2
     assert np.all(np.diff(res.trace) > 0.0)
     assert res.log_marginal == res.trace[-1]
 
 
-def test_fit_stops_on_gradient_tolerance():
+def test_fit_stops_on_gradient_tolerance(monkeypatch):
     rng = np.random.default_rng(14)
     x = rng.uniform(-0.3, 0.3, (50, 2))
     truth = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
     y = _sample_surface(rng, x, truth)
-    opts = FitOptions(max_iter=200, grad_tol=5e-3)
-    res = fit_hyperparams(x, y, opts=opts)
+    monkeypatch.setattr(gpr, "GRAD_TOL", 5e-3)
+    max_iter = 200
+    res = fit_hyperparams(x, y, max_iter=max_iter)
     assert res.warning is None
-    assert res.iterations < opts.max_iter
+    assert res.iterations < max_iter
     g_log = likelihood_gradient(x, y, res.hyperparams) * res.hyperparams.as_vector()
-    assert np.linalg.norm(g_log) < opts.grad_tol
+    assert np.linalg.norm(g_log) < gpr.GRAD_TOL
 
 
 def test_fit_recovers_lengthscale_within_factor():
@@ -218,12 +219,13 @@ def test_fit_shrinks_signal_on_zero_data():
     assert res.hyperparams.sigma_s < init.sigma_s / 10.0
 
 
-def test_fit_warns_when_no_step_possible():
+def test_fit_warns_when_no_step_possible(monkeypatch):
     rng = np.random.default_rng(9)
     x, _ = _random_set(rng, 20)
     y = _sample_surface(rng, x, HP)
     init = Hyperparams(sigma_s=2.0, lengthscales=(0.2, 0.2), sigma_n=0.2)
-    res = fit_hyperparams(x, y, init=init, opts=FitOptions(max_halvings=0))
+    monkeypatch.setattr(gpr, "MAX_HALVINGS", 0)
+    res = fit_hyperparams(x, y, init=init)
     assert res.warning is not None
     assert res.iterations == 1
     assert res.hyperparams == init
@@ -333,6 +335,26 @@ def test_incremental_append_matches_fresh_factorization():
     m2, v2 = posterior(fresh, xq)
     assert np.max(np.abs(m1 - m2)) < 1e-9
     assert np.max(np.abs(v1 - v2)) < 1e-9
+
+
+def test_cholesky_factor_is_fortran_ordered():
+    # LAPACK reads Fortran order; a factor in C order would be copied on
+    # every solve, and solved in the transposed form
+    rng = np.random.default_rng(19)
+    x, y = _random_set(rng, 8)
+    model = make_model(x, y, HP)
+    assert model.chol.flags.f_contiguous
+    grown = model
+    for px, py in zip(rng.uniform(-0.3, 0.3, (3, 2)), rng.standard_normal(3)):
+        grown = grown.with_point(px, py)
+        assert grown.chol.flags.f_contiguous
+    # a negative recorded jitter drives the new diagonal below zero, which
+    # sends the append to its fresh-factorization fallback
+    refactored = replace(model, jitter=-10.0).with_point(np.array([0.05, -0.1]), 0.3)
+    assert refactored.jitter == model.jitter
+    assert refactored.chol.flags.f_contiguous
+    fresh = make_model(refactored.x, refactored.y, HP)
+    assert np.array_equal(refactored.chol, fresh.chol)
 
 
 def _factorization_failing(monkeypatch, failures):

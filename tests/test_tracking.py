@@ -9,7 +9,7 @@ from uavtrack import tracking as tr
 from uavtrack.beamforming import candidate_set, grid_weights, precoder_from_angle
 from uavtrack.channel import ArrayConfig, LinkBudget, effective_channel, measure_beams
 from uavtrack.geometry import Position3, SpatialAngles, arrival_angles
-from uavtrack.gpr import FitOptions, fit_hyperparams, make_model, posterior, posterior_mean_gradient
+from uavtrack.gpr import fit_hyperparams, make_model, posterior, posterior_mean_gradient
 from uavtrack.tracking import (
     EstimatorConfig,
     baseline_codebook,
@@ -72,7 +72,10 @@ def test_estimator_config_validation():
         EstimatorConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         EstimatorConfig(refit_every=0)
+    with pytest.raises(ValueError, match="phase_bits must be at least 1"):
+        EstimatorConfig(phase_bits=0)
     EstimatorConfig(max_iterations=0)
+    EstimatorConfig(phase_bits=1)
 
 
 def test_hybrid_noiseless_converges_to_grid_point_truth():
@@ -209,7 +212,7 @@ def test_analog_iterate_sequence_monotone_on_noiseless_surface():
         h = _chan(tu, tv)
         c = candidate_set(su, sv, CFG, 6)
         y = np.abs(grid_weights(c, CFG, 6).conj() @ h.vector) / NORM
-        fit = fit_hyperparams(c.points, y, opts=FitOptions(max_iter=15))
+        fit = fit_hyperparams(c.points, y, max_iter=tr.FIT_MAX_ITER)
         model = make_model(c.points, y, fit.hyperparams)
         x = c.points[int(np.argmax(y))]
         path = []
