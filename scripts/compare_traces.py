@@ -5,12 +5,16 @@
 
 Key columns (the sweep and row coordinates), `iterations` and
 `measurements` must match exactly, and so must the header and the row
-count; any difference prints the first offending row and exits 1. Every
-other column is compared as a number (a text field, such as a blank
-summary prediction, must match exactly): the script prints how many rows
-are byte-identical and the largest relative deviation, |old - new| /
-max(|old|, |new|), with the column and row where it occurs. A roundoff-only
-change exits 0 and reports that deviation. Wrong usage exits 2.
+count; any difference prints the first offending row and exits 1. When
+the difference is in `iterations` or `measurements`, both files'
+per-scheme summary comes first: rows, mean 0.5 * (du^2 + dv^2) of the
+estimated against the true angles, mean iterations and mean
+measurements. Every other column is compared as a number (a text field,
+such as a blank summary prediction, must match exactly): the script
+prints how many rows are byte-identical and the largest relative
+deviation, |old - new| / max(|old|, |new|), with the column and row where
+it occurs. A roundoff-only change exits 0 and reports that deviation.
+Wrong usage exits 2.
 """
 
 import csv
@@ -39,6 +43,36 @@ def _rel(a: str, b: str) -> float | None:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+COUNTS = ("iterations", "measurements")
+ANGLES = ("est_u", "true_u", "est_v", "true_v")
+
+
+def _per_scheme(header, rows):
+    """{scheme: [rows, sum 0.5 (du^2 + dv^2), sum iterations, sum measurements]}"""
+    col = {name: i for i, name in enumerate(header)}
+    eu, tu, ev, tv = (col[name] for name in ANGLES)
+    it, ms = (col[name] for name in COUNTS)
+    sums = {}
+    for r in rows:
+        s = sums.setdefault(r[col["scheme"]], [0, 0.0, 0, 0])
+        du, dv = float(r[eu]) - float(r[tu]), float(r[ev]) - float(r[tv])
+        s[0] += 1
+        s[1] += 0.5 * (du * du + dv * dv)
+        s[2] += int(r[it])
+        s[3] += int(r[ms])
+    return sums
+
+
+def _report_schemes(header, old, new, out) -> None:
+    if not set(ANGLES + COUNTS + ("scheme",)) <= set(header):
+        return
+    print("per scheme: rows, mean 0.5*(du^2 + dv^2), mean iterations, mean measurements", file=out)
+    for label, rows in (("old", old), ("new", new)):
+        for scheme, (n, err2, its, meas) in _per_scheme(header, rows).items():
+            means = f"{err2 / n:.4g}, {its / n:.3f}, {meas / n:.3f}"
+            print(f"  {label} {scheme}: {n}, {means}", file=out)
+
+
 def compare(old_path: str, new_path: str, out=sys.stdout) -> int:
     old_header, old = _read(old_path)
     new_header, new = _read(new_path)
@@ -57,6 +91,8 @@ def compare(old_path: str, new_path: str, out=sys.stdout) -> int:
         for name, x, y in zip(old_header, a, b):
             dev = None if name in EXACT else _rel(x, y)
             if dev is None and x != y:
+                if name in COUNTS:
+                    _report_schemes(old_header, old, new, out)
                 print(f"row {row}: {name} differs: {x!r} against {y!r}", file=out)
                 return 1
             if dev is not None and dev > worst:

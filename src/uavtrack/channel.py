@@ -9,6 +9,7 @@ output under fresh receiver noise per beam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,15 @@ class LinkBudget:
     def __post_init__(self):
         if self.es <= 0.0:
             raise ValueError(f"es (pilot energy) must be positive, got {self.es}")
+        try:
+            sigma_n2 = self.sigma_n2
+        except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) out of range
+            sigma_n2 = 0.0
+        if not 0.0 < sigma_n2 < math.inf:
+            raise ValueError(
+                f"snr_db = {self.snr_db} puts the noise variance es / 10^(snr_db / 10) "
+                "out of floating-point range"
+            )
 
     @property
     def sigma_n2(self) -> float:

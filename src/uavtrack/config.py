@@ -98,7 +98,8 @@ class ScenarioConfig:
                         raise ConfigError(f"{f.name.replace('_', '.', 1)} must be finite, got {v!r}")
         # constructing the module configs validates their own ranges
         views = [("array", self.arrays), ("schedule", self.schedule), ("sensors", self.sensors)]
-        views += [("mobility", self.mobility), ("link", partial(self.budget, self.link_snr_db[0]))]
+        views += [("mobility", self.mobility)]
+        views += [("link", partial(self.budget, snr)) for snr in self.link_snr_db]
         views += [("estimator", partial(self.estimator, b)) for b in self.estimator_phase_bits]
         for section, view in views:
             try:

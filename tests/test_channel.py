@@ -36,6 +36,12 @@ def test_link_budget_noise_variance():
         LinkBudget(es=0.0)
 
 
+@pytest.mark.parametrize("es, snr_db", [(1.0, 4000.0), (1.0, -4000.0), (1e300, -100.0)])
+def test_link_budget_rejects_noise_variance_out_of_range(es, snr_db):
+    with pytest.raises(ValueError, match=f"snr_db = {snr_db} puts the noise variance"):
+        LinkBudget(es=es, snr_db=snr_db)
+
+
 def test_steering_upa_broadside_is_ones():
     a = steering_upa(0.0, 0.0, 8, 8)
     assert a.shape == (64,)

@@ -120,6 +120,14 @@ def test_out_of_range_config_value_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_snr_out_of_range_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--snr-db", "10, 4000"]) == 2
+    assert "link: snr_db = 4000.0 puts the noise variance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_flags_parse_like_config_values(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"

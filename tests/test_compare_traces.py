@@ -51,5 +51,35 @@ def test_count_key_or_length_mismatch_exits_1(tmp_path, new_rows, message):
     assert message in out
 
 
+TRACE_HEADER = (
+    "schema_version,trial,block,scheme,true_u,true_v,est_u,est_v,iterations,measurements\n"
+)
+TRACE_ROWS = [
+    "1,0,0,hybrid_gpr,0.3,0.2,0.31,0.2,7,43\n",
+    "1,0,0,gps_only,0.3,0.2,0.3,0.24,0,0\n",
+    "1,1,0,hybrid_gpr,-0.1,0.1,-0.1,0.13,5,41\n",
+    "1,1,0,gps_only,-0.1,0.1,-0.12,0.1,0,0\n",
+]
+
+
+def test_count_mismatch_reports_both_files_per_scheme(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(TRACE_HEADER + "".join(TRACE_ROWS))
+    changed = "1,1,0,hybrid_gpr,-0.1,0.1,-0.1,0.11,9,45\n"
+    new.write_text(TRACE_HEADER + "".join(TRACE_ROWS[:2]) + changed + TRACE_ROWS[3])
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(old), str(new)], capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "per scheme: rows, mean 0.5*(du^2 + dv^2), mean iterations, mean measurements",
+        "  old hybrid_gpr: 2, 0.00025, 6.000, 42.000",
+        "  old gps_only: 2, 0.0005, 0.000, 0.000",
+        "  new hybrid_gpr: 2, 5e-05, 8.000, 44.000",
+        "  new gps_only: 2, 0.0005, 0.000, 0.000",
+        "row 3: iterations differs: '5' against '9'",
+    ]
+
+
 def test_usage_exits_2():
     assert subprocess.run([sys.executable, str(SCRIPT)], capture_output=True).returncode == 2

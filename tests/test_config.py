@@ -148,6 +148,9 @@ BAD_VALUES = [
     ("link.snr_db", "10, -inf", "link.snr_db must be finite"),
     ("link.es", "nan", "link.es must be finite"),
     ("link.es", "-1", r"link: es \(pilot energy\) must be positive"),
+    ("link.snr_db", "4000", r"link: snr_db = 4000.0 puts the noise variance"),
+    ("link.snr_db", "-4000", r"link: snr_db = -4000.0 puts the noise variance"),
+    ("link.snr_db", "10, 4000", r"link: snr_db = 4000.0 puts the noise variance"),
 ]
 
 
