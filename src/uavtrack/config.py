@@ -141,7 +141,6 @@ class ScenarioConfig:
             init_xy_min=self.scenario_init_min,
             init_xy_max=self.scenario_init_max,
             uav_height=self.scenario_uav_height,
-            gs_height=self.scenario_gs_height,
         )
 
     def estimator(self, phase_bits: int) -> EstimatorConfig:

@@ -409,7 +409,8 @@ def fit_hyperparams(
             if all(abs(c - t) <= 1e-8 + 1e-5 * abs(t) for c, t in zip(cand_theta, theta)):
                 break
             try:
-                cand = evaluate([math.exp(c) for c in cand_theta])
+                # exp(log(bound)) can land an ulp outside the bound
+                cand = evaluate([min(max(math.exp(c), BOUND_LO), BOUND_HI) for c in cand_theta])
             except np.linalg.LinAlgError:
                 scale *= 0.5
                 continue

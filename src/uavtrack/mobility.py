@@ -39,7 +39,6 @@ class MobilityConfig:
     init_xy_min: float = 10.0  # m, uniform box for the initial position
     init_xy_max: float = 100.0
     uav_height: float = 200.0  # m
-    gs_height: float = 25.0
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:

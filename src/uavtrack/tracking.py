@@ -97,10 +97,6 @@ def fuse_position(angles: SpatialAngles, gs_pos: Position3, delta_h: float) -> P
     return Position3(gs_pos.x + rel.x, gs_pos.y + rel.y, gs_pos.h + delta_h)
 
 
-def _norm_factor(cfg: ArrayConfig) -> float:
-    return math.sqrt(cfg.nu * cfg.nx * cfg.ny)
-
-
 def _clip_unit_disk(point: np.ndarray) -> np.ndarray:
     r2 = float(point @ point)
     if r2 >= 1.0:
@@ -126,24 +122,51 @@ def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> 
     return cands
 
 
-def _initial_surface(
-    heff: EffectiveChannel,
-    cands: CandidateSet,
-    cfg: ArrayConfig,
-    budget: LinkBudget,
-    est: EstimatorConfig,
-    rng: np.random.Generator,
-    quantized: bool,
+def _sounder(
+    heff: EffectiveChannel, cfg: ArrayConfig, budget: LinkBudget, rng: np.random.Generator
 ):
-    """Measure every candidate beam and fit the surrogate to the sweep.
+    """Beam magnitudes over the coherent array factor sqrt(nu * nx * ny)."""
+    norm = math.sqrt(cfg.nu * cfg.nx * cfg.ny)
+    return lambda weights: measure_beams(heff, weights, budget, rng) / norm
 
-    Returns the model and the grid point with the largest magnitude."""
-    weights = grid_weights(cands, cfg, est.phase_bits if quantized else None)
-    y = measure_beams(heff, weights, budget, rng) / _norm_factor(cfg)
+
+def _initial_surface(
+    sound, cands: CandidateSet, cfg: ArrayConfig, est: EstimatorConfig, quantized: bool
+):
+    """Sound every candidate beam and fit the surrogate to the sweep.
+
+    Returns the model and the grid point with the largest magnitude,
+    pulled inside the unit disk."""
+    y = sound(grid_weights(cands, cfg, est.phase_bits if quantized else None))
     x = cands.points
     fit = fit_hyperparams(x, y, max_iter=FIT_MAX_ITER, fit_noise=est.fit_noise)
-    model = make_model(x, y, fit.hyperparams)
-    return model, x[int(np.argmax(y))]
+    return make_model(x, y, fit.hyperparams), _clip_unit_disk(x[int(np.argmax(y))])
+
+
+def _ascend(x0: np.ndarray, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, probe):
+    """Ascent shared by the iterative schemes.
+
+    Each iteration calls probe(x) -> (value, direction) at the iterate and
+    steps to x + eta * direction, projected into the candidate box and the
+    unit disk. Stops when consecutive values differ by less than
+    epsilon_scale * sqrt(es), or at the iteration cap. Returns the final
+    iterate and the iteration count.
+    """
+    eps = est.epsilon_scale * math.sqrt(budget.es)
+    x, t, f_prev = x0, 0, None
+    for t in range(1, est.max_iterations + 1):
+        f, g = probe(x)
+        x = _clip_unit_disk(cands.clip(x + est.eta * g))
+        if f_prev is not None and abs(f - f_prev) < eps:
+            break
+        f_prev = f
+    return x, t
+
+
+def _result(x: np.ndarray, iterations: int, measurements: int) -> RefineResult:
+    return RefineResult(
+        u=float(x[0]), v=float(x[1]), iterations=iterations, measurements=measurements
+    )
 
 
 def refine_hybrid(
@@ -165,32 +188,21 @@ def refine_hybrid(
     """
     cands = _candidates(seed, cfg, est)
     if cands is None:
-        return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
-    model, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=False)
-    xstar = _clip_unit_disk(xstar)
-    measurements = cands.size
-    eps = est.epsilon_scale * math.sqrt(budget.es)
-    iterations = 0
-    appended = 0
-    y_prev = None
-    for t in range(1, est.max_iterations + 1):
-        w = steer_weights(float(xstar[0]), float(xstar[1]), cfg)
-        y_star = float(measure_beams(heff, w, budget, rng)[0]) / _norm_factor(cfg)
-        measurements += 1
-        iterations = t
-        model = model.with_point(xstar, y_star)
-        appended += 1
-        if appended % est.refit_every == 0:
+        return baseline_gps_only(seed)
+    sound = _sounder(heff, cfg, budget, rng)
+    model, x0 = _initial_surface(sound, cands, cfg, est, quantized=False)
+
+    def probe(x):
+        nonlocal model
+        y = float(sound(steer_weights(float(x[0]), float(x[1]), cfg))[0])
+        model = model.with_point(x, y)
+        if (model.n - cands.size) % est.refit_every == 0:
             fit = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER, est.fit_noise)
             model = make_model(model.x, model.y, fit.hyperparams)
-        g = posterior_mean_gradient(model, xstar)
-        xstar = _clip_unit_disk(cands.clip(xstar + est.eta * g))
-        if y_prev is not None and abs(y_star - y_prev) < eps:
-            break
-        y_prev = y_star
-    return RefineResult(
-        u=float(xstar[0]), v=float(xstar[1]), iterations=iterations, measurements=measurements
-    )
+        return y, posterior_mean_gradient(model, x)
+
+    x, iterations = _ascend(x0, cands, est, budget, probe)
+    return _result(x, iterations, cands.size + iterations)
 
 
 def refine_analog(
@@ -210,27 +222,19 @@ def refine_analog(
     """
     cands = _candidates(seed, cfg, est)
     if cands is None:
-        return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
-    model, xstar = _initial_surface(heff, cands, cfg, budget, est, rng, quantized=True)
-    xstar = _clip_unit_disk(xstar)
-    eps = est.epsilon_scale * math.sqrt(budget.es)
-    iterations = 0
-    f_prev = None
-    for t in range(1, est.max_iterations + 1):
-        f_star = float(posterior(model, xstar)[0][0])
-        g = posterior_mean_gradient(model, xstar)
-        xstar = _clip_unit_disk(cands.clip(xstar + est.eta * g))
-        iterations = t
-        if f_prev is not None and abs(f_star - f_prev) < eps:
-            break
-        f_prev = f_star
-    return RefineResult(
-        u=float(xstar[0]), v=float(xstar[1]), iterations=iterations, measurements=cands.size
-    )
+        return baseline_gps_only(seed)
+    model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, cfg, est, quantized=True)
+
+    def probe(x):
+        return float(posterior(model, x)[0][0]), posterior_mean_gradient(model, x)
+
+    x, iterations = _ascend(x0, cands, est, budget, probe)
+    return _result(x, iterations, cands.size)
 
 
 def baseline_gps_only(seed: SpatialAngles) -> RefineResult:
-    """No pilots: the sensor-seeded angles are the estimate."""
+    """No pilots: the sensor-seeded angles are the estimate. Every pilot
+    scheme falls back to it when the seeded grid carries no information."""
     return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
 
 
@@ -251,32 +255,20 @@ def baseline_perturbation(
     """
     cands = _candidates(seed, cfg, est)
     if cands is None:
-        return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
+        return baseline_gps_only(seed)
     delta_p = est.perturbation_delta if est.perturbation_delta is not None else cands.delta / 2.0
-    eps = est.epsilon_scale * math.sqrt(budget.es)
-    norm = _norm_factor(cfg)
-    xstar = np.array([seed.u, seed.v])
-    iterations = 0
-    measurements = 0
-    p_prev = None
-    for t in range(1, est.max_iterations + 1):
-        u, v = xstar
-        probes = steer_weights(np.array([u, u + delta_p, u]), np.array([v, v, v + delta_p]), cfg)
-        y3 = measure_beams(heff, probes, budget, rng) / norm
+    sound = _sounder(heff, cfg, budget, rng)
+
+    def probe(x):
+        u, v = x
+        y3 = sound(steer_weights(np.array([u, u + delta_p, u]), np.array([v, v, v + delta_p]), cfg))
         p0, pu, pv = (y3**2).tolist()
-        measurements += 3
-        iterations = t
         if delta_p == 0.0:
-            g = np.zeros(2)
-        else:
-            g = np.array([(pu - p0) / delta_p, (pv - p0) / delta_p])
-        xstar = _clip_unit_disk(cands.clip(xstar + est.eta * g))
-        if p_prev is not None and abs(p0 - p_prev) < eps:
-            break
-        p_prev = p0
-    return RefineResult(
-        u=float(xstar[0]), v=float(xstar[1]), iterations=iterations, measurements=measurements
-    )
+            return p0, np.zeros(2)
+        return p0, np.array([(pu - p0) / delta_p, (pv - p0) / delta_p])
+
+    x, iterations = _ascend(np.array([seed.u, seed.v]), cands, est, budget, probe)
+    return _result(x, iterations, 3 * iterations)
 
 
 def baseline_codebook(
@@ -294,12 +286,8 @@ def baseline_codebook(
     """
     cands = _candidates(seed, cfg, est)
     if cands is None:
-        return RefineResult(u=seed.u, v=seed.v, iterations=0, measurements=0)
-    weights = grid_weights(cands, cfg, est.phase_bits)
-    y = measure_beams(heff, weights, budget, rng)
+        return baseline_gps_only(seed)
+    y = _sounder(heff, cfg, budget, rng)(grid_weights(cands, cfg, est.phase_bits))
     # grid corners can stick past the unit disk for near-horizon seeds;
     # infeasible direction cosines would break position fusion downstream
-    best = _clip_unit_disk(cands.points[int(np.argmax(y))])
-    return RefineResult(
-        u=float(best[0]), v=float(best[1]), iterations=0, measurements=cands.size
-    )
+    return _result(_clip_unit_disk(cands.points[int(np.argmax(y))]), 0, cands.size)

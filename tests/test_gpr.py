@@ -292,6 +292,23 @@ def test_fit_stops_with_noise_held_at_lower_bound():
     assert res.hyperparams.sigma_n == pytest.approx(gpr.BOUND_LO)
 
 
+def test_fitted_parameters_stay_inside_bounds():
+    # sigma_n starts on BOUND_LO and stays there while the others move; a
+    # value held at a bound must come back as the bound, not exp(log(bound))
+    axis = np.array([-0.1, 0.0, 0.1])
+    x = np.array([(u, v) for u in axis for v in axis])
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        c = rng.uniform(-0.05, 0.05, 2)
+        y = np.exp(-((x - c) ** 2).sum(axis=1) / 0.02)
+        init = replace(default_init(x, y), sigma_n=gpr.BOUND_LO)
+        res = fit_hyperparams(x, y, init=init)
+        assert res.iterations >= 1
+        values = res.hyperparams.as_vector()
+        assert np.all((values >= gpr.BOUND_LO) & (values <= gpr.BOUND_HI)), values
+        assert res.hyperparams.sigma_n == gpr.BOUND_LO
+
+
 def test_fit_recovers_lengthscale_within_factor():
     truth = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
     ratios = []

@@ -145,18 +145,66 @@ def test_measurement_accounting_audited(monkeypatch):
     assert r.measurements == 36 == rows["n"]
 
 
-def test_hybrid_zero_iterations_is_unquantized_grid_argmax():
-    h = _chan(0.12, -0.08)
+# the iterative schemes share one ascent loop: (scheme, sweep beams, beams per iteration)
+ASCENT = pytest.mark.parametrize(
+    "fn, grid, per_iteration",
+    [(refine_hybrid, 36, 1), (refine_analog, 36, 0), (baseline_perturbation, 0, 3)],
+    ids=["hybrid", "analog", "perturbation"],
+)
+
+
+def _ascent_run(fn, **est):
     budget = LinkBudget(es=1.0, snr_db=20.0)
-    r = refine_hybrid(
-        h, SpatialAngles(0.1, -0.1), CFG, budget,
-        EstimatorConfig(max_iterations=0), np.random.default_rng(5),
-    )
-    c = candidate_set(0.1, -0.1, CFG, 6)
-    y = measure_beams(h, grid_weights(c, CFG, None), budget, np.random.default_rng(5)) / NORM
-    start = c.points[int(np.argmax(y))]
-    assert r.u == start[0] and r.v == start[1]
-    assert r.iterations == 0 and r.measurements == 36
+    seed = SpatialAngles(0.1, -0.1)
+    est = EstimatorConfig(**est)
+    return fn(_chan(0.15, -0.05), seed, CFG, budget, est, np.random.default_rng(9))
+
+
+@ASCENT
+def test_ascent_without_threshold_runs_to_cap(fn, grid, per_iteration):
+    r = _ascent_run(fn, epsilon_scale=0.0, max_iterations=7)
+    assert r.iterations == 7
+    assert r.measurements == grid + 7 * per_iteration
+
+
+@ASCENT
+def test_ascent_with_huge_threshold_stops_at_second_iteration(fn, grid, per_iteration):
+    r = _ascent_run(fn, epsilon_scale=1e9)
+    assert r.iterations == 2
+    assert r.measurements == grid + 2 * per_iteration
+
+
+@ASCENT
+def test_ascent_without_iterations_returns_start(fn, grid, per_iteration):
+    # the hybrid starts at the unquantized sweep's argmax, the analog at the
+    # quantized one's
+    r = _ascent_run(fn, max_iterations=0)
+    assert r.iterations == 0 and r.measurements == grid
+    if fn is baseline_perturbation:
+        start = (0.1, -0.1)  # the seed
+    else:
+        c = candidate_set(0.1, -0.1, CFG, 6)
+        bits = 6 if fn is refine_analog else None
+        y = measure_beams(
+            _chan(0.15, -0.05), grid_weights(c, CFG, bits), LinkBudget(es=1.0, snr_db=20.0),
+            np.random.default_rng(9),
+        )
+        start = tuple(c.points[int(np.argmax(y))])
+    assert (r.u, r.v) == start
+
+
+def test_hybrid_refits_every_refit_every_appends(monkeypatch):
+    calls = {"n": 0}
+    real = tr.fit_hyperparams
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "fit_hyperparams", counting)
+    r = _ascent_run(refine_hybrid, epsilon_scale=0.0, max_iterations=7, refit_every=3)
+    assert r.iterations == 7
+    assert calls["n"] == 1 + 7 // 3  # the sweep's fit, then after appends 3 and 6
 
 
 def test_analog_noiseless_beats_quantization_floor():
