@@ -14,7 +14,8 @@ such as a blank summary prediction, must match exactly): the script
 prints how many rows are byte-identical and the largest relative
 deviation, |old - new| / max(|old|, |new|), with the column and row where
 it occurs. A roundoff-only change exits 0 and reports that deviation.
-Wrong usage exits 2.
+Wrong usage, or a file that is missing, unreadable or without a header,
+exits 2 with a one-line message.
 """
 
 import csv
@@ -26,9 +27,18 @@ EXACT = ("schema_version", "trial", "block", "scheme", "snr_db", "phase_bits",
          "iterations", "measurements")
 
 
+class InputError(Exception):
+    """An input file that cannot be compared at all."""
+
+
 def _read(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise InputError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from e
+    if not rows or not rows[0]:
+        raise InputError(f"{path} has no header")
     return rows[0], rows[1:]
 
 
@@ -109,4 +119,8 @@ if __name__ == "__main__":
     if len(sys.argv) != 3:
         print("usage: compare_traces.py OLD NEW", file=sys.stderr)
         sys.exit(2)
-    sys.exit(compare(sys.argv[1], sys.argv[2]))
+    try:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
+    except InputError as e:
+        print(f"compare_traces.py: {e}", file=sys.stderr)
+        sys.exit(2)

@@ -19,7 +19,6 @@ from .geometry import Attitude, Position3, departure_angle
 from .sensors import SensorReading
 
 __all__ = [
-    "Precoder",
     "CandidateSet",
     "precoder_from_angle",
     "build_precoder",
@@ -30,24 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precoder:
-    """Unit-norm UAV weight vector steered at departure cosine u_a."""
-
-    u_a: float
-    vector: np.ndarray
-
-
-def precoder_from_angle(u_a: float, nu: int) -> Precoder:
-    """Phase conjugate of the array response, scaled to unit norm.
+def precoder_from_angle(u_a: float, nu: int) -> np.ndarray:
+    """UAV weights: the phase conjugate of the array response at departure
+    cosine u_a, scaled to unit norm.
 
     The inner product of the response at the true cosine with this vector
     has magnitude sqrt(nu) when the steering cosine is exact.
     """
-    return Precoder(u_a=u_a, vector=steering_ula(u_a, nu).conj() / math.sqrt(nu))
+    return steering_ula(u_a, nu).conj() / math.sqrt(nu)
 
 
-def build_precoder(egi: SensorReading, gs_pos: Position3, cfg: ArrayConfig) -> Precoder:
+def build_precoder(egi: SensorReading, gs_pos: Position3, cfg: ArrayConfig) -> np.ndarray:
     """Steer the UAV array from a navigation-unit reading.
 
     The ground station coordinates are rebased to the measured UAV

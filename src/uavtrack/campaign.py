@@ -146,9 +146,9 @@ def simulate_readings(cfg: ScenarioConfig, trial: int, states):
     egi = {}
     for k, state in enumerate(states):
         if sched.gps_due(k):
-            gps[k] = ground_gps_measure(state, noise, gps_rng, block=k)
+            gps[k] = ground_gps_measure(state, noise, gps_rng)
         if sched.ins_due(k):
-            egi[k] = egi_measure(state, noise, egi_rng, block=k)
+            egi[k] = egi_measure(state, noise, egi_rng)
     return gps, egi
 
 
@@ -202,7 +202,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
             arrival.u, arrival.v, departure_angle(g_u, state.heading, state.attitude)
         )
         precoder = build_precoder(last_egi, gs_pos, arr)
-        heff = effective_channel(truth, precoder.vector, complex(mus[k]), arr)
+        heff = effective_channel(truth, precoder, complex(mus[k]), arr)
         world.append((state.position, gps, velocity, truth, heff))
 
     rows = []
@@ -352,7 +352,8 @@ def write_summary_csv(path: str, summary_rows: list[dict]) -> None:
 
 def read_summary_csv(path: str) -> list[dict]:
     """Summary rows typed by column: the counts as ints, scheme as text, and
-    every other column as a float, a blank (no prediction) read as NaN."""
+    every other column as a float, a blank (no prediction) read as NaN. A
+    cell that does not parse is a ConfigError naming its line and column."""
     with open(path, "r", newline="") as f:
         reader = csv.DictReader(f)
         missing = set(SUMMARY_HEADER) - set(reader.fieldnames or ())
@@ -361,10 +362,14 @@ def read_summary_csv(path: str) -> list[dict]:
         out = []
         for row in reader:
             for col in SUMMARY_HEADER:
-                if col in _SUMMARY_INT_COLUMNS:
-                    row[col] = int(row[col])
-                elif col != "scheme":
-                    row[col] = float(row[col]) if row[col] != "" else float("nan")
+                text = row[col]
+                try:
+                    if col in _SUMMARY_INT_COLUMNS:
+                        row[col] = int(text)
+                    elif col != "scheme":
+                        row[col] = float(text) if text != "" else float("nan")
+                except (TypeError, ValueError) as e:
+                    raise ConfigError(f"{path}:{reader.line_num}: bad {col} value {text!r}") from e
             out.append(row)
         return out
 

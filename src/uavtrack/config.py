@@ -59,7 +59,6 @@ class ScenarioConfig:
     mobility_speed_max_kmh: float = 160.0
     mobility_sigma_speed: float = 5.0
     mobility_sigma_heading: float = 0.5
-    mobility_noise_mode: str = "stationary"
     scenario_gs_x: float = 0.0
     scenario_gs_y: float = 0.0
     scenario_gs_height: float = 25.0
@@ -72,8 +71,6 @@ class ScenarioConfig:
     estimator_max_iterations: int = 50
     estimator_refit_every: int = 5
     estimator_phase_bits: tuple[int, ...] = (6,)
-    estimator_perturbation_delta: float = float("nan")  # nan = half grid step
-    estimator_fit_noise: bool = True
     # run
     run_trials: int = 200
     run_blocks: int = 20
@@ -86,16 +83,22 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}")
         if self.run_trials < 1 or self.run_blocks < 1:
             raise ConfigError("run.trials and run.blocks must be at least 1")
-        if not self.link_snr_db or not self.estimator_phase_bits:
-            raise ConfigError("snr_db and phase_bits sweeps must be nonempty")
-        if not self.run_schemes:
-            raise ConfigError("run.schemes must name at least one scheme")
+        for key in ("run.schemes", "link.snr_db", "estimator.phase_bits"):
+            values = getattr(self, key.replace(".", "_"))
+            if not values:
+                raise ConfigError(f"{key} must name at least one value")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} repeats an entry: {', '.join(map(str, values))}")
         for f in fields(self):
             value = getattr(self, f.name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
-                    if not (f.name == "estimator_perturbation_delta" and math.isnan(v)):
-                        raise ConfigError(f"{f.name.replace('_', '.', 1)} must be finite, got {v!r}")
+                    raise ConfigError(f"{f.name.replace('_', '.', 1)} must be finite, got {v!r}")
+        if self.scenario_uav_height <= self.scenario_gs_height:
+            raise ConfigError(
+                f"scenario.uav_height = {self.scenario_uav_height} must exceed "
+                f"scenario.gs_height = {self.scenario_gs_height}"
+            )
         # constructing the module configs validates their own ranges
         views = [("array", self.arrays), ("schedule", self.schedule), ("sensors", self.sensors)]
         views += [("mobility", self.mobility)]
@@ -136,7 +139,6 @@ class ScenarioConfig:
             speed_max=self.mobility_speed_max_kmh * KMH,
             sigma_speed=self.mobility_sigma_speed,
             sigma_heading=self.mobility_sigma_heading,
-            noise_mode=self.mobility_noise_mode,
             t_block=self.schedule_t_block,
             init_xy_min=self.scenario_init_min,
             init_xy_max=self.scenario_init_max,
@@ -144,15 +146,12 @@ class ScenarioConfig:
         )
 
     def estimator(self, phase_bits: int) -> EstimatorConfig:
-        delta = self.estimator_perturbation_delta
         return EstimatorConfig(
             eta=self.estimator_eta,
             epsilon_scale=self.estimator_epsilon_scale,
             max_iterations=self.estimator_max_iterations,
             refit_every=self.estimator_refit_every,
             phase_bits=phase_bits,
-            perturbation_delta=None if math.isnan(delta) else delta,
-            fit_noise=self.estimator_fit_noise,
         )
 
     # parsing --------------------------------------------------------------

@@ -57,11 +57,8 @@ class Hyperparams:
         if self.sigma_n < 0.0:
             raise ValueError("sigma_n must be nonnegative")
 
-    def as_vector(self, with_noise: bool = True) -> np.ndarray:
-        v = [self.sigma_s, *self.lengthscales]
-        if with_noise:
-            v.append(self.sigma_n)
-        return np.array(v)
+    def as_vector(self) -> np.ndarray:
+        return np.array([self.sigma_s, *self.lengthscales, self.sigma_n])
 
 
 @dataclass(frozen=True)
@@ -193,13 +190,12 @@ class _Objective:
         chol: np.ndarray,
         jitter: float,
         alpha: np.ndarray,
-        fit_noise: bool,
     ):
         """Gradient g, Fisher information F and Hessian H in log parameters.
 
-        Coordinates: log sigma_s, log ell_u, log ell_v, then log sigma_n
-        when fit_noise is set. With dK_i the derivative of Kn along
-        coordinate i, A = alpha alpha^T - Kn^-1 and M_i = Kn^-1 dK_i:
+        Coordinates: log sigma_s, log ell_u, log ell_v, log sigma_n. With
+        dK_i the derivative of Kn along coordinate i, A = alpha alpha^T -
+        Kn^-1 and M_i = Kn^-1 dK_i:
 
             g_i  = 0.5 sum(A * dK_i)        (every dK_i is symmetric)
             F_ij = 0.5 sum(M_i * M_j^T) = 0.5 tr(Kn^-1 dK_i Kn^-1 dK_j)
@@ -250,32 +246,25 @@ class _Objective:
         f_uu = 0.5 * s_u * s_u * float(np.einsum("ij,ji->", m_u, m_u))
         f_uv = 0.5 * s_u * s_v * float(np.einsum("ij,ji->", m_u, m_v))
         f_vv = 0.5 * s_v * s_v * float(np.einsum("ij,ji->", m_v, m_v))
-        g = [g_s, g_u, g_v]
+        s2 = sigma_n**2
+        v.append((2.0 * s2) * alpha)
+        g_n = s2 * tr_a
+        f_sn = 2.0 * s2 * float(np.vdot(b, kinv))
+        f_un = s2 * s_u * float(np.vdot(m_u, kinv))
+        f_vn = s2 * s_v * float(np.vdot(m_v, kinv))
+        g = [g_s, g_u, g_v, g_n]
         fisher = [
-            [2.0 * float(np.vdot(b, b)), f_su, f_sv],
-            [f_su, f_uu, f_uv],
-            [f_sv, f_uv, f_vv],
+            [2.0 * float(np.vdot(b, b)), f_su, f_sv, f_sn],
+            [f_su, f_uu, f_uv, f_un],
+            [f_sv, f_uv, f_vv, f_vn],
+            [f_sn, f_un, f_vn, 2.0 * s2 * s2 * float(np.vdot(kinv, kinv))],
         ]
         second = [  # the 0.5 sum(A * d2K_ij) term
-            [2.0 * g_s, 2.0 * g_u, 2.0 * g_v],
-            [2.0 * g_u, d_uu, d_uv],
-            [2.0 * g_v, d_uv, d_vv],
+            [2.0 * g_s, 2.0 * g_u, 2.0 * g_v, 0.0],
+            [2.0 * g_u, d_uu, d_uv, 0.0],
+            [2.0 * g_v, d_uv, d_vv, 0.0],
+            [0.0, 0.0, 0.0, 2.0 * g_n],
         ]
-        if fit_noise:
-            s2 = sigma_n**2
-            g.append(s2 * tr_a)
-            v.append((2.0 * s2) * alpha)
-            f_n = [
-                2.0 * s2 * float(np.vdot(b, kinv)),
-                s2 * s_u * float(np.vdot(m_u, kinv)),
-                s2 * s_v * float(np.vdot(m_v, kinv)),
-                2.0 * s2 * s2 * float(np.vdot(kinv, kinv)),
-            ]
-            for row, f, d in zip(fisher, f_n, second):
-                row.append(f)
-                d.append(0.0)
-            fisher.append(f_n)
-            second.append([0.0, 0.0, 0.0, 2.0 * g[3]])
         u = _solve_lower(chol, np.array(v).T)  # L^-1 dK_i alpha
         fisher = np.array(fisher)
         hess = fisher + np.array(second)
@@ -292,20 +281,17 @@ def log_marginal_likelihood(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> fl
     return _Objective(x, y).evaluate(*_unpack(hp))[-1]
 
 
-def likelihood_gradient(
-    x: np.ndarray, y: np.ndarray, hp: Hyperparams, fit_noise: bool = True
-) -> np.ndarray:
+def likelihood_gradient(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Gradient of the log marginal likelihood in natural parameters.
 
     For each parameter theta, 0.5 * alpha^T dK alpha - 0.5 tr(Kn^-1 dK)
-    with alpha = Kn^-1 y. Order: sigma_s, ell_u, ell_v, then sigma_n when
-    fit_noise is set. This is the fit's log-space gradient, divided by
-    the parameter values.
+    with alpha = Kn^-1 y. Order: sigma_s, ell_u, ell_v, sigma_n. This is
+    the fit's log-space gradient, divided by the parameter values.
     """
     obj = _Objective(x, y)
     k, chol, jitter, alpha, _ = obj.evaluate(*_unpack(hp))
-    g = obj.derivatives(*_unpack(hp), k, chol, jitter, alpha, fit_noise)[0]
-    vals = hp.as_vector(fit_noise)
+    g = obj.derivatives(*_unpack(hp), k, chol, jitter, alpha)[0]
+    vals = hp.as_vector()
     # d/d sigma_n is sigma_n * tr(A), which is 0 at sigma_n = 0
     return np.divide(g, vals, out=np.zeros_like(g), where=vals > 0.0)
 
@@ -343,7 +329,6 @@ def fit_hyperparams(
     y: np.ndarray,
     init: Hyperparams | None = None,
     max_iter: int = 60,
-    fit_noise: bool = True,
 ) -> FitResult:
     """Maximize the log marginal likelihood by safeguarded Newton steps.
 
@@ -355,35 +340,33 @@ def fit_hyperparams(
     whose gradient pushes it further out takes no part in the step. The
     fit stops when the step's predicted gain 0.5 g^T step falls below
     FIT_TOL nats, when no halving raises the likelihood (with a warning),
-    or after max_iter iterations. sigma_n stays at its initial value when
-    fit_noise is False.
+    or after max_iter iterations.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     hp = init if init is not None else default_init(x, y)
     lo, hi = math.log(BOUND_LO), math.log(BOUND_HI)
 
-    if fit_noise and hp.sigma_n == 0.0:
+    if hp.sigma_n == 0.0:
         hp = replace(hp, sigma_n=BOUND_LO)
-    frozen_sigma_n = float(hp.sigma_n)
     obj = _Objective(x, y)
 
     def evaluate(v: list[float]):
-        params = (v[0], (v[1], v[2]), v[3] if fit_noise else frozen_sigma_n)
+        params = (v[0], (v[1], v[2]), v[3])
         return (params,) + obj.evaluate(*params)
 
     # theta and the step live in lists: the loop does a handful of scalar
     # operations per probe, which cost less on floats than on small arrays.
     # The start is evaluated at the given values, not at exp(log(values)),
     # so a fit that takes no step returns its init unchanged.
-    vals = [min(max(v, BOUND_LO), BOUND_HI) for v in hp.as_vector(fit_noise).tolist()]
+    vals = [min(max(v, BOUND_LO), BOUND_HI) for v in hp.as_vector().tolist()]
     theta = [math.log(v) for v in vals]
     params, k, chol, jitter, alpha, lml = evaluate(vals)
     trace = [lml]
     warning = None
     it = 0
     for it in range(1, max_iter + 1):
-        g, fisher, hess = obj.derivatives(*params, k, chol, jitter, alpha, fit_noise)
+        g, fisher, hess = obj.derivatives(*params, k, chol, jitter, alpha)
         g_list = g.tolist()
         # a parameter held at a bound and pushed further out by its gradient
         # takes no part in the step, nor in its predicted gain

@@ -23,10 +23,8 @@ __all__ = ["MobilityConfig", "FlightState", "sample_initial", "step", "velocity_
 class MobilityConfig:
     """Random-walk parameters and scenario geometry.
 
-    noise_mode selects the process-noise variance: "stationary" uses
-    (1 - rho^2) * sigma^2 so the unclamped autoregression has stationary
-    variance sigma^2; "literal" uses the fixed variance (1 - rho^2 / 2)
-    for both speed and heading regardless of the sigma fields.
+    The process noise has variance (1 - rho^2) * sigma^2, so the unclamped
+    autoregression has stationary variance sigma^2.
     """
 
     rho: float = 0.99
@@ -34,7 +32,6 @@ class MobilityConfig:
     speed_max: float = 160.0 / 3.6
     sigma_speed: float = 5.0  # stationary std of the speed process, m/s
     sigma_heading: float = 0.5  # stationary std of the heading process, rad
-    noise_mode: str = "stationary"
     t_block: float = 0.010  # s
     init_xy_min: float = 10.0  # m, uniform box for the initial position
     init_xy_max: float = 100.0
@@ -43,10 +40,12 @@ class MobilityConfig:
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
-        if self.noise_mode not in ("stationary", "literal"):
-            raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
         if self.speed_min > self.speed_max:
             raise ValueError("speed_min exceeds speed_max")
+        if self.init_xy_min > self.init_xy_max:
+            raise ValueError(
+                f"init_xy_min = {self.init_xy_min} exceeds init_xy_max = {self.init_xy_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,6 @@ def _wrap_angle(phi: float) -> float:
 
 
 def _noise_std(cfg: MobilityConfig, sigma: float) -> float:
-    if cfg.noise_mode == "literal":
-        return math.sqrt(1.0 - cfg.rho * cfg.rho / 2.0)
     return sigma * math.sqrt(1.0 - cfg.rho * cfg.rho)
 
 

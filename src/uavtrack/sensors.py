@@ -54,6 +54,8 @@ class Schedule:
     t_ins: float = 0.020
 
     def __post_init__(self):
+        if self.t_block <= 0.0:
+            raise ValueError(f"t_block must be positive, got {self.t_block}")
         _ratio(self.t_gps, self.t_block, "t_gps")
         _ratio(self.t_ins, self.t_block, "t_ins")
         if not self.t_block <= self.t_ins <= self.t_gps:
@@ -79,14 +81,12 @@ class SensorReading:
     """One sensor output; truth is never stored here. Only navigation-unit
     readings carry a heading."""
 
-    kind: str  # "gps" or "egi"
-    block: int
     position: Position3
     heading: float | None = None
 
 
 def ground_gps_measure(
-    state: FlightState, cfg: SensorNoiseConfig, rng: np.random.Generator, block: int = 0
+    state: FlightState, cfg: SensorNoiseConfig, rng: np.random.Generator
 ) -> SensorReading:
     """GPS fix of the UAV: horizontal position plus per-axis Gaussian noise.
 
@@ -96,18 +96,18 @@ def ground_gps_measure(
     """
     ex, ey = rng.normal(0.0, cfg.sigma_gps, size=2)
     pos = Position3(state.position.x + float(ex), state.position.y + float(ey), state.position.h)
-    return SensorReading(kind="gps", block=block, position=pos)
+    return SensorReading(position=pos)
 
 
 def egi_measure(
-    state: FlightState, cfg: SensorNoiseConfig, rng: np.random.Generator, block: int = 0
+    state: FlightState, cfg: SensorNoiseConfig, rng: np.random.Generator
 ) -> SensorReading:
     """Navigation-unit reading: own position and heading (course plus yaw)."""
     ex, ey = rng.normal(0.0, cfg.sigma_ins_pos, size=2)
     eh = rng.normal(0.0, cfg.sigma_heading)
     pos = Position3(state.position.x + float(ex), state.position.y + float(ey), state.position.h)
     heading = state.heading + state.attitude.yaw + float(eh)
-    return SensorReading(kind="egi", block=block, position=pos, heading=heading)
+    return SensorReading(position=pos, heading=heading)
 
 
 def derive_velocity(prev: SensorReading, cur: SensorReading, t_gps: float) -> tuple[float, float]:

@@ -49,7 +49,6 @@ class EstimatorConfig:
 
     epsilon_scale multiplies sqrt(es) to form the stop threshold on
     consecutive magnitudes (or powers for the perturbation baseline).
-    perturbation_delta defaults to half the grid step.
     """
 
     eta: float = 0.01
@@ -57,8 +56,6 @@ class EstimatorConfig:
     max_iterations: int = 50
     refit_every: int = 5
     phase_bits: int = 6
-    perturbation_delta: float | None = None
-    fit_noise: bool = True
 
     def __post_init__(self):
         if self.eta <= 0.0 or self.epsilon_scale < 0.0:
@@ -139,7 +136,7 @@ def _initial_surface(
     pulled inside the unit disk."""
     y = sound(grid_weights(cands, cfg, est.phase_bits if quantized else None))
     x = cands.points
-    fit = fit_hyperparams(x, y, max_iter=FIT_MAX_ITER, fit_noise=est.fit_noise)
+    fit = fit_hyperparams(x, y, max_iter=FIT_MAX_ITER)
     return make_model(x, y, fit.hyperparams), _clip_unit_disk(x[int(np.argmax(y))])
 
 
@@ -197,7 +194,7 @@ def refine_hybrid(
         y = float(sound(steer_weights(float(x[0]), float(x[1]), cfg))[0])
         model = model.with_point(x, y)
         if (model.n - cands.size) % est.refit_every == 0:
-            fit = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER, est.fit_noise)
+            fit = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER)
             model = make_model(model.x, model.y, fit.hyperparams)
         return y, posterior_mean_gradient(model, x)
 
@@ -248,23 +245,21 @@ def baseline_perturbation(
 ) -> RefineResult:
     """Stochastic power ascent with forward-difference gradients.
 
-    Each iteration sounds the current beam plus one offset beam per axis
-    (three measurements), forms forward differences of received power,
-    and steps along them. Stops when consecutive center powers differ by
+    Each iteration sounds the current beam plus one beam offset by half
+    the grid step per axis (three measurements), forms forward
+    differences of received power, and steps along them. Stops when consecutive center powers differ by
     less than the threshold, or at the iteration cap.
     """
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return baseline_gps_only(seed)
-    delta_p = est.perturbation_delta if est.perturbation_delta is not None else cands.delta / 2.0
+    delta_p = cands.delta / 2.0
     sound = _sounder(heff, cfg, budget, rng)
 
     def probe(x):
         u, v = x
         y3 = sound(steer_weights(np.array([u, u + delta_p, u]), np.array([v, v, v + delta_p]), cfg))
         p0, pu, pv = (y3**2).tolist()
-        if delta_p == 0.0:
-            return p0, np.zeros(2)
         return p0, np.array([(pu - p0) / delta_p, (pv - p0) / delta_p])
 
     x, iterations = _ascend(np.array([seed.u, seed.v]), cands, est, budget, probe)

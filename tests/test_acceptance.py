@@ -62,7 +62,7 @@ def _bootstrap_mean_quantile(diffs, q: float, seed: int = 0, resamples: int = 20
 
 def _chan(tu, tv, ua=0.3):
     return effective_channel(
-        SpatialAngles(tu, tv, u_a=ua), precoder_from_angle(ua, CFG.nu).vector, 1.0, CFG
+        SpatialAngles(tu, tv, u_a=ua), precoder_from_angle(ua, CFG.nu), 1.0, CFG
     )
 
 

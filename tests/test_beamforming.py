@@ -20,36 +20,35 @@ CFG = ArrayConfig()
 
 def test_precoder_unit_norm_constant_modulus():
     p = precoder_from_angle(0.37, 8)
-    assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-12
-    assert np.max(np.abs(np.abs(p.vector) - 1.0 / math.sqrt(8))) < 1e-12
-    assert p.u_a == 0.37
+    assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+    assert np.max(np.abs(np.abs(p) - 1.0 / math.sqrt(8))) < 1e-12
 
 
 def test_precoder_alignment_peaks_at_truth():
     p = precoder_from_angle(0.37, 8)
-    assert abs(abs(steering_ula(0.37, 8) @ p.vector) - math.sqrt(8)) < 1e-12
+    assert abs(abs(steering_ula(0.37, 8) @ p) - math.sqrt(8)) < 1e-12
 
 
 def test_precoder_single_antenna():
     p = precoder_from_angle(0.9, 1)
-    assert abs(abs(steering_ula(-0.3, 1) @ p.vector) - 1.0) < 1e-12
+    assert abs(abs(steering_ula(-0.3, 1) @ p) - 1.0) < 1e-12
 
 
 def test_build_precoder_exact_reading():
     # measured position equals truth: steering is exact, alignment sqrt(nu)
     uav = Position3(30.0, 40.0, 200.0)
     gs = Position3(0.0, 0.0, 25.0)
-    egi = SensorReading(kind="egi", block=0, position=uav, heading=0.25)
+    egi = SensorReading(position=uav, heading=0.25)
     p = build_precoder(egi, gs, CFG)
     from uavtrack.geometry import departure_angle
 
     true_ua = departure_angle(Position3(gs.x - uav.x, gs.y - uav.y, gs.h - uav.h), 0.25)
-    h = effective_channel(SpatialAngles(0.1, 0.1, u_a=true_ua), p.vector, 1.0, CFG)
+    h = effective_channel(SpatialAngles(0.1, 0.1, u_a=true_ua), p, 1.0, CFG)
     assert abs(abs(h.alignment) - math.sqrt(8)) < 1e-12
 
 
 def test_build_precoder_requires_heading():
-    egi = SensorReading(kind="egi", block=0, position=Position3(30, 40, 200))
+    egi = SensorReading(position=Position3(30, 40, 200))
     with pytest.raises(ValueError):
         build_precoder(egi, Position3(0, 0, 25), CFG)
 
@@ -57,7 +56,7 @@ def test_build_precoder_requires_heading():
 def test_alignment_loss_at_small_steering_error():
     p = precoder_from_angle(0.35, 8)
     a = steering_ula(0.30, 8)
-    ratio = abs(a @ p.vector) / math.sqrt(8)
+    ratio = abs(a @ p) / math.sqrt(8)
     assert abs(ratio - 0.9364517377490459) < 1e-9
 
 
@@ -191,7 +190,7 @@ def test_noiseless_grid_argmax_is_nearest_point():
         tu = seed_u + rng.uniform(-0.25, 0.25)
         tv = seed_v + rng.uniform(-0.25, 0.25)
         h = effective_channel(
-            SpatialAngles(tu, tv, u_a=0.3), precoder_from_angle(0.3, 8).vector, 1.0, CFG
+            SpatialAngles(tu, tv, u_a=0.3), precoder_from_angle(0.3, 8), 1.0, CFG
         )
         c = candidate_set(seed_u, seed_v, CFG, 6)
         surf = np.abs(grid_weights(c, CFG).conj() @ h.vector)

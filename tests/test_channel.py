@@ -20,7 +20,7 @@ CFG = ArrayConfig()
 
 
 def _aligned_channel(u=0.1, v=-0.2, u_a=0.3, mu=1.0 + 0.0j):
-    return effective_channel(SpatialAngles(u, v, u_a=u_a), precoder_from_angle(u_a, CFG.nu).vector, mu, CFG)
+    return effective_channel(SpatialAngles(u, v, u_a=u_a), precoder_from_angle(u_a, CFG.nu), mu, CFG)
 
 
 def test_array_config_validation():
@@ -69,7 +69,7 @@ def test_steering_ula_basics():
 
 def test_effective_channel_requires_departure_cosine():
     with pytest.raises(ValueError):
-        effective_channel(SpatialAngles(0.1, 0.1), precoder_from_angle(0.0, 8).vector, 1.0, CFG)
+        effective_channel(SpatialAngles(0.1, 0.1), precoder_from_angle(0.0, 8), 1.0, CFG)
 
 
 def test_alignment_at_truth_is_sqrt_nu():
@@ -80,7 +80,7 @@ def test_alignment_at_truth_is_sqrt_nu():
 
 def test_alignment_at_first_null_is_zero():
     ang = SpatialAngles(0.1, -0.2, u_a=0.3)
-    f = precoder_from_angle(0.3 + 2.0 / 8.0, CFG.nu).vector
+    f = precoder_from_angle(0.3 + 2.0 / 8.0, CFG.nu)
     h = effective_channel(ang, f, 1.0, CFG)
     assert abs(h.alignment) < 1e-12
 
@@ -89,7 +89,7 @@ def test_alignment_small_error_dirichlet_value():
     # |sum_k exp(j pi k 0.05)| = 7.491613901992367 over 8 elements; the
     # unit-norm precoder divides that by sqrt(8)
     ang = SpatialAngles(0.1, -0.2, u_a=0.3)
-    f = precoder_from_angle(0.3 + 0.05, CFG.nu).vector
+    f = precoder_from_angle(0.3 + 0.05, CFG.nu)
     h = effective_channel(ang, f, 1.0, CFG)
     assert abs(abs(h.alignment) - 7.491613901992367 / math.sqrt(8)) < 1e-9
 

@@ -128,6 +128,31 @@ def test_snr_out_of_range_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("schedule.t_block = 0", "schedule: t_block must be positive"),
+        ("scenario.init_min = 150", "mobility: init_xy_min = 150.0 exceeds init_xy_max"),
+        ("scenario.uav_height = 25", "scenario.uav_height = 25.0 must exceed scenario.gs_height"),
+        ("link.snr_db = 10, 10", "link.snr_db repeats an entry"),
+    ],
+)
+def test_load_time_rejections_exit_2(tmp_path, capsys, line, message):
+    cfg = _write_config(tmp_path, SMALL + line + "\n")
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_scheme_flag_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--schemes", "gps_only,gps_only"]) == 2
+    assert "run.schemes repeats an entry: gps_only, gps_only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_flags_parse_like_config_values(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"
@@ -165,6 +190,19 @@ def test_tables_missing_sweep_exit_2(tmp_path, capsys):
     code = main(["tables", "--summary", str(out / "summary.csv"), "--figure", "fig8"])
     assert code == 2
     assert "phase_bits sweep" in capsys.readouterr().err
+
+
+def test_tables_unparsable_cell_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = out / "summary.csv"
+    lines = summary.read_text().splitlines()
+    lines[2] = "x" + lines[2][1:]  # schema_version of the second data row
+    summary.write_text("\n".join(lines) + "\n")
+    code = main(["tables", "--summary", str(summary), "--figure", "fig5"])
+    assert code == 2
+    assert f"{summary}:3: bad schema_version value 'x'" in capsys.readouterr().err
 
 
 def test_tables_requires_arguments(capsys):

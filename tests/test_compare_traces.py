@@ -83,3 +83,26 @@ def test_count_mismatch_reports_both_files_per_scheme(tmp_path):
 
 def test_usage_exits_2():
     assert subprocess.run([sys.executable, str(SCRIPT)], capture_output=True).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "setup, message",
+    [
+        (lambda path: None, "cannot read"),
+        (lambda path: path.mkdir(), "cannot read"),
+        (lambda path: path.write_bytes(b"\xff\xfe\x00bad"), "cannot read"),
+        (lambda path: path.write_text(""), "has no header"),
+    ],
+    ids=["missing", "directory", "not-text", "empty"],
+)
+def test_unreadable_file_exits_2(tmp_path, setup, message):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text(HEADER + "".join(ROWS))
+    setup(new)
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(old), str(new)], capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0] and str(new) in lines[0]

@@ -79,12 +79,6 @@ def test_budget_noise_from_snr():
     assert abs(cfg.budget(20.0).sigma_n2 - 2e-2) < 1e-15
 
 
-def test_perturbation_delta_nan_means_default():
-    assert ScenarioConfig().estimator(6).perturbation_delta is None
-    cfg = ScenarioConfig(estimator_perturbation_delta=0.03)
-    assert cfg.estimator(6).perturbation_delta == 0.03
-
-
 def test_estimator_view_carries_phase_bits():
     cfg = ScenarioConfig(estimator_phase_bits=(4, 8))
     assert cfg.estimator(4).phase_bits == 4
@@ -143,7 +137,6 @@ BAD_VALUES = [
     ("estimator.phase_bits", "6, -1", "estimator: phase_bits must be at least 1"),
     ("estimator.epsilon_scale", "nan", "estimator.epsilon_scale must be finite"),
     ("estimator.eta", "nan", "estimator.eta must be finite"),
-    ("estimator.perturbation_delta", "inf", "estimator.perturbation_delta must be finite"),
     ("link.snr_db", "nan", "link.snr_db must be finite"),
     ("link.snr_db", "10, -inf", "link.snr_db must be finite"),
     ("link.es", "nan", "link.es must be finite"),
@@ -151,6 +144,14 @@ BAD_VALUES = [
     ("link.snr_db", "4000", r"link: snr_db = 4000.0 puts the noise variance"),
     ("link.snr_db", "-4000", r"link: snr_db = -4000.0 puts the noise variance"),
     ("link.snr_db", "10, 4000", r"link: snr_db = 4000.0 puts the noise variance"),
+    ("schedule.t_block", "0", "schedule: t_block must be positive, got 0.0"),
+    ("schedule.t_block", "-0.01", "schedule: t_block must be positive, got -0.01"),
+    ("scenario.init_min", "150", "mobility: init_xy_min = 150.0 exceeds init_xy_max = 100.0"),
+    ("scenario.uav_height", "25", "scenario.uav_height = 25.0 must exceed scenario.gs_height"),
+    ("scenario.uav_height", "10", "scenario.uav_height = 10.0 must exceed scenario.gs_height"),
+    ("run.schemes", "gps_only, gps_only", "run.schemes repeats an entry: gps_only, gps_only"),
+    ("link.snr_db", "10, 20, 10", "link.snr_db repeats an entry: 10.0, 20.0, 10.0"),
+    ("estimator.phase_bits", "6, 6", "estimator.phase_bits repeats an entry: 6, 6"),
 ]
 
 
@@ -168,6 +169,18 @@ def test_bad_values_rejected_by_config_text(key, text, message):
         ScenarioConfig.from_text(f"run.trials = 2\n{key} = {text}\n", source="myfile")
 
 
-def test_nan_perturbation_delta_is_the_default_sentinel():
-    cfg = ScenarioConfig.from_text("estimator.perturbation_delta = nan\n")
-    assert cfg.estimator(6).perturbation_delta is None
+def test_nominal_config_file_equals_the_defaults():
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "tracking_nominal.conf"
+    assert ScenarioConfig.from_file(str(path)) == ScenarioConfig()
+
+
+@pytest.mark.parametrize(
+    "line", ["estimator.fit_noise = false", "estimator.perturbation_delta = 0.03",
+             "mobility.noise_mode = literal"],
+)
+def test_retired_keys_are_unknown(line):
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"^myfile:2: unknown key '{key}'"):
+        ScenarioConfig.from_text(f"run.trials = 2\n{line}\n", source="myfile")

@@ -159,13 +159,6 @@ def test_likelihood_gradient_scalar_case_by_hand():
     assert likelihood_gradient(x, y, replace(hp, sigma_n=0.0))[3] == 0.0
 
 
-def test_likelihood_gradient_can_freeze_noise():
-    rng = np.random.default_rng(5)
-    x, y = _random_set(rng)
-    assert len(likelihood_gradient(x, y, HP, fit_noise=False)) == 3
-    assert len(likelihood_gradient(x, y, HP)) == 4
-
-
 def test_default_init_spans_and_std():
     x = np.array([[0.0, 0.0], [0.2, 0.4]])
     y = np.array([1.0, 3.0])
@@ -194,24 +187,26 @@ def _random_hyperparams(rng):
     )
 
 
-def _derivatives(x, y, hp, fit_noise):
+def _derivatives(x, y, hp):
     """(g, F, H) in log parameters, and the jitter they were taken at."""
     obj = gpr._Objective(x, y)
     params = (hp.sigma_s, hp.lengthscales, hp.sigma_n)
     k, chol, jitter, alpha, _ = obj.evaluate(*params)
-    return obj.derivatives(*params, k, chol, jitter, alpha, fit_noise), jitter
+    return obj.derivatives(*params, k, chol, jitter, alpha), jitter
 
 
-@pytest.mark.parametrize("fit_noise", [True, False])
+# at_init: at the point every cold fit starts from (default_init), else at
+# random hyperparameters
+@pytest.mark.parametrize("at_init", [True, False])
 @pytest.mark.parametrize("n", [10, 36, 86])
-def test_log_space_hessian_matches_central_differences(n, fit_noise):
+def test_log_space_hessian_matches_central_differences(n, at_init):
     rng = np.random.default_rng(20 + n)
     x, y = _random_set(rng, n)
-    hp = _random_hyperparams(rng)
-    (g, _, hess), _ = _derivatives(x, y, hp, fit_noise)
+    hp = default_init(x, y) if at_init else _random_hyperparams(rng)
+    (g, _, hess), _ = _derivatives(x, y, hp)
     # the fit's gradient is likelihood_gradient's, by the chain rule to log space
-    vals = hp.as_vector(fit_noise)
-    assert np.allclose(g, likelihood_gradient(x, y, hp, fit_noise) * vals, rtol=1e-12, atol=0.0)
+    vals = hp.as_vector()
+    assert np.allclose(g, likelihood_gradient(x, y, hp) * vals, rtol=1e-12, atol=0.0)
     h = 1e-5
     fd = np.empty_like(hess)
     for j in range(len(vals)):
@@ -220,26 +215,25 @@ def test_log_space_hessian_matches_central_differences(n, fit_noise):
             v = hp.as_vector()
             v[j] *= math.exp(sign * h)
             moved = Hyperparams(sigma_s=v[0], lengthscales=(v[1], v[2]), sigma_n=v[3])
-            ends.append(likelihood_gradient(x, y, moved, fit_noise) * moved.as_vector(fit_noise))
+            ends.append(likelihood_gradient(x, y, moved) * moved.as_vector())
         fd[:, j] = (ends[0] - ends[1]) / (2.0 * h)
     assert np.max(np.abs(hess - fd)) < 1e-6 * np.max(np.abs(fd))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
 
 
-@pytest.mark.parametrize("fit_noise", [True, False])
+@pytest.mark.parametrize("at_init", [True, False])
 @pytest.mark.parametrize("n", [10, 36, 86])
-def test_fisher_matches_dense_trace_formula(n, fit_noise):
+def test_fisher_matches_dense_trace_formula(n, at_init):
     rng = np.random.default_rng(30 + n)
     x, y = _random_set(rng, n)
-    hp = _random_hyperparams(rng)
-    (_, fisher, _), jitter = _derivatives(x, y, hp, fit_noise)
+    hp = default_init(x, y) if at_init else _random_hyperparams(rng)
+    (_, fisher, _), jitter = _derivatives(x, y, hp)
     k = kernel(x, x, hp)
     kinv = np.linalg.inv(k + (hp.sigma_n**2 + jitter) * np.eye(n))
     dk = [2.0 * k]  # d Kn / d log theta
     for d, ell in enumerate(hp.lengthscales):
         dk.append(k * (x[:, None, d] - x[None, :, d]) ** 2 / ell**2)
-    if fit_noise:
-        dk.append(2.0 * hp.sigma_n**2 * np.eye(n))
+    dk.append(2.0 * hp.sigma_n**2 * np.eye(n))
     dense = np.array([[0.5 * np.trace(kinv @ a @ kinv @ b) for b in dk] for a in dk])
     assert np.max(np.abs(fisher - dense)) < 1e-9 * np.max(np.abs(dense))
 

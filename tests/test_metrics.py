@@ -45,7 +45,7 @@ def test_realized_equals_closed_form_for_ideal_precoder():
         du, dv = rng.uniform(-0.2, 0.2, 2)
         h = effective_channel(
             SpatialAngles(tu, tv, u_a=0.3),
-            precoder_from_angle(0.3, CFG.nu).vector,
+            precoder_from_angle(0.3, CFG.nu),
             1.0,
             CFG,
         )

@@ -23,14 +23,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MobilityConfig(rho=1.1)
     with pytest.raises(ValueError):
-        MobilityConfig(noise_mode="other")
-    with pytest.raises(ValueError):
         MobilityConfig(speed_min=50.0, speed_max=40.0)
+    with pytest.raises(ValueError, match="init_xy_min = 60.0 exceeds init_xy_max = 50.0"):
+        MobilityConfig(init_xy_min=60.0, init_xy_max=50.0)
     MobilityConfig(rho=1.0)  # closed upper end allowed
 
 
 def test_rho_one_zero_noise_is_linear_flight():
-    cfg = MobilityConfig(rho=1.0, noise_mode="stationary")
+    cfg = MobilityConfig(rho=1.0)
     s0 = FlightState(Position3(10.0, 20.0, 200.0), speed=30.0, heading=0.5)
     traj = _run(cfg, 0, 50, state=s0)
     for k, s in enumerate(traj):
@@ -124,15 +124,3 @@ def test_stationary_variance_matches_noise_over_one_minus_rho_sq():
     noise_var = sigma**2 * (1 - rho**2)
     assert abs(np.var(v) - noise_var / (1 - rho**2)) < 0.05 * sigma**2
 
-
-def test_literal_noise_mode_variance():
-    cfg = MobilityConfig(rho=0.99, noise_mode="literal", speed_min=-1e9, speed_max=1e9)
-    s = FlightState(Position3(0, 0, 200.0), speed=0.0, heading=0.0)
-    rng = np.random.default_rng(6)
-    increments = []
-    for _ in range(50_000):
-        s2 = step(s, cfg, rng)
-        increments.append(s2.speed - cfg.rho * s.speed)
-        s = s2
-    want = 1.0 - cfg.rho**2 / 2.0
-    assert abs(np.var(increments) - want) < 0.05 * want

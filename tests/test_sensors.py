@@ -40,10 +40,15 @@ def test_schedule_rejects_misordered_periods():
         Schedule(t_block=0.010, t_gps=0.020, t_ins=0.050)
 
 
+@pytest.mark.parametrize("t_block", [0.0, -0.010])
+def test_schedule_rejects_nonpositive_block(t_block):
+    with pytest.raises(ValueError, match="t_block must be positive"):
+        Schedule(t_block=t_block)
+
+
 def test_gps_exact_when_noiseless():
     cfg = SensorNoiseConfig(sigma_gps=0.0)
-    r = ground_gps_measure(STATE, cfg, np.random.default_rng(0), block=5)
-    assert r.kind == "gps" and r.block == 5
+    r = ground_gps_measure(STATE, cfg, np.random.default_rng(0))
     assert r.position == STATE.position
     assert r.heading is None
 
@@ -67,8 +72,7 @@ def test_gps_height_exact():
 
 def test_egi_exact_when_noiseless():
     cfg = SensorNoiseConfig(sigma_ins_pos=0.0, sigma_heading=0.0)
-    r = egi_measure(STATE, cfg, np.random.default_rng(0), block=2)
-    assert r.kind == "egi" and r.block == 2
+    r = egi_measure(STATE, cfg, np.random.default_rng(0))
     assert r.position == STATE.position
     assert r.heading == STATE.heading
 
@@ -99,9 +103,9 @@ def test_errors_independent_across_draws():
 
 
 def test_velocity_differencing():
-    a = ground_gps_measure(STATE, SensorNoiseConfig(sigma_gps=0.0), np.random.default_rng(0), block=0)
+    a = ground_gps_measure(STATE, SensorNoiseConfig(sigma_gps=0.0), np.random.default_rng(0))
     later = FlightState(Position3(31.5, 40.5, 200.0), 30.0, 0.25)
-    b = ground_gps_measure(later, SensorNoiseConfig(sigma_gps=0.0), np.random.default_rng(0), block=5)
+    b = ground_gps_measure(later, SensorNoiseConfig(sigma_gps=0.0), np.random.default_rng(0))
     vx, vy = derive_velocity(a, b, 0.050)
     assert abs(vx - 30.0) < 1e-9
     assert abs(vy - 10.0) < 1e-9
