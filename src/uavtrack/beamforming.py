@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, steering_ula, steering_upa
-from .geometry import Attitude, Position3, departure_angle
+from .geometry import Position3, departure_angle
 from .sensors import SensorReading
 
 __all__ = [
@@ -43,15 +43,14 @@ def build_precoder(egi: SensorReading, gs_pos: Position3, cfg: ArrayConfig) -> n
     """Steer the UAV array from a navigation-unit reading.
 
     The ground station coordinates are rebased to the measured UAV
-    position; the measured heading already includes yaw, so no extra
-    attitude term enters the departure cosine.
+    position, and the measured heading gives the body axis.
     """
     if egi.heading is None:
         raise ValueError("precoder needs a reading that carries heading")
     g_u = Position3(
         gs_pos.x - egi.position.x, gs_pos.y - egi.position.y, gs_pos.h - egi.position.h
     )
-    u_a_hat = departure_angle(g_u, egi.heading, Attitude())
+    u_a_hat = departure_angle(g_u, egi.heading)
     return precoder_from_angle(u_a_hat, cfg.nu)
 
 
@@ -87,50 +86,34 @@ class CandidateSet:
     """Square search grid of direction cosines around a seeded center.
 
     points enumerates the grid row-major over (u, v): flat index
-    i * g_axis + j holds (u_offsets[i], v_offsets[j]) shifted by the
-    center. half_span defaults to 2 / nx, the half main-lobe width.
+    i * len(v_values) + j holds (u_values[i], v_values[j]). lo and hi are
+    the corners of the box seed -/+ 2 / nx, the half main-lobe width.
     """
 
-    center: tuple[float, float]
     u_values: np.ndarray
     v_values: np.ndarray
+    points: np.ndarray
     delta: float
-    half_span: float
-
-    @property
-    def g_axis(self) -> int:
-        return len(self.u_values)
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.u_values) * len(self.v_values)
-
-    @property
-    def points(self) -> np.ndarray:
-        uu, vv = np.meshgrid(self.u_values, self.v_values, indexing="ij")
-        return np.column_stack([uu.ravel(), vv.ravel()])
+        return len(self.points)
 
     def clip(self, point: np.ndarray) -> np.ndarray:
         """Project a point onto the grid bounding box."""
-        lo = np.array([self.center[0] - self.half_span, self.center[1] - self.half_span])
-        hi = np.array([self.center[0] + self.half_span, self.center[1] + self.half_span])
-        return np.minimum(np.maximum(point, lo), hi)
+        return np.minimum(np.maximum(point, self.lo), self.hi)
 
 
-def candidate_set(
-    seed_u: float,
-    seed_v: float,
-    cfg: ArrayConfig,
-    phase_bits: int = 6,
-    half_span: float | None = None,
-) -> CandidateSet:
-    """Grid [seed - B : delta : seed + B] per axis, delta = 2 pi / 2^l.
+def candidate_set(seed_u: float, seed_v: float, cfg: ArrayConfig, phase_bits: int = 6) -> CandidateSet:
+    """Grid [seed - B : delta : seed + B] per axis, B = 2 / nx, delta = 2 pi / 2^l.
 
     The number of points per axis is floor(2 B / delta) + 1, anchored at
     the lower edge, so the seed itself need not be a grid point.
     """
     delta = 2.0 * math.pi / 2.0**phase_bits
-    b = 2.0 / cfg.nx if half_span is None else half_span
+    b = 2.0 / cfg.nx
     g_axis = int(math.floor(2.0 * b / delta)) + 1
     offsets = -b + delta * np.arange(g_axis)
     u_values = np.clip(seed_u + offsets, -1.0, 1.0)
@@ -138,12 +121,14 @@ def candidate_set(
     for vals in (u_values, v_values):
         if g_axis >= 2 and len(np.unique(vals)) < 2:
             raise ValueError("candidate grid degenerates to a point after clipping")
+    uu, vv = np.meshgrid(u_values, v_values, indexing="ij")
     return CandidateSet(
-        center=(seed_u, seed_v),
         u_values=u_values,
         v_values=v_values,
+        points=np.column_stack([uu.ravel(), vv.ravel()]),
         delta=delta,
-        half_span=b,
+        lo=np.array([seed_u - b, seed_v - b]),
+        hi=np.array([seed_u + b, seed_v + b]),
     )
 
 

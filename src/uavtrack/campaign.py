@@ -24,7 +24,7 @@ from .blas import one_blas_thread
 from .channel import effective_channel
 from .config import ANALOG_SCHEMES, SCHEMES, ConfigError, ScenarioConfig
 from .geometry import Position3, SpatialAngles, arrival_angles, departure_angle
-from .metrics import normalized_gain, predict_from_mae, realized_gain, spectral_efficiency
+from .metrics import normalized_gain, predicted_gain_from_mae, realized_gain, spectral_efficiency
 from .mobility import sample_initial, step
 from .sensors import derive_velocity, egi_measure, ground_gps_measure
 from .tracking import (
@@ -198,9 +198,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
             gs_pos.y - state.position.y,
             gs_pos.h - state.position.h,
         )
-        truth = SpatialAngles(
-            arrival.u, arrival.v, departure_angle(g_u, state.heading, state.attitude)
-        )
+        truth = SpatialAngles(arrival.u, arrival.v, departure_angle(g_u, state.heading))
         precoder = build_precoder(last_egi, gs_pos, arr)
         heff = effective_channel(truth, precoder, complex(mus[k]), arr)
         world.append((state.position, gps, velocity, truth, heff))
@@ -289,9 +287,9 @@ def _agg(rows: list[TraceRow], cfg: ScenarioConfig, scheme, snr_db, phase_bits, 
         "mean_measurements": float(np.mean([r.measurements for r in rows])),
     }
     try:
-        pred = predict_from_mae(mae, arr, budget)
-        out["pred_gain_at_mae"] = pred.gain
-        out["pred_se_at_mae"] = pred.se
+        gain = predicted_gain_from_mae(mae, arr)
+        out["pred_gain_at_mae"] = gain
+        out["pred_se_at_mae"] = spectral_efficiency(gain, budget)
     except ValueError:
         out["pred_gain_at_mae"] = ""
         out["pred_se_at_mae"] = ""

@@ -19,7 +19,6 @@ from .geometry import SpatialAngles
 __all__ = [
     "ArrayConfig",
     "LinkBudget",
-    "EffectiveChannel",
     "steering_ula",
     "steering_upa",
     "effective_channel",
@@ -88,23 +87,15 @@ def steering_upa(u, v, nx: int, ny: int) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (nx * ny,))
 
 
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Ground-side channel after UAV precoding: mu * alignment * a_g(u, v).
-
-    alignment is the complex inner product of the UAV array response at the
-    true departure cosine with the precoder; its magnitude reaches
-    sqrt(nu) when the precoder is steered exactly.
-    """
-
-    vector: np.ndarray
-    alignment: complex
-
-
 def effective_channel(
     angles: SpatialAngles, precoder_vector: np.ndarray, mu: complex, cfg: ArrayConfig
-) -> EffectiveChannel:
+) -> np.ndarray:
     """Collapse the rank-one link through a given UAV precoding vector.
+
+    Returns the ground-side vector mu * alignment * a_g(u, v), shape
+    (nx * ny,). alignment is the inner product of the UAV array response
+    at the true departure cosine with the precoder; its magnitude reaches
+    sqrt(nu) when the precoder is steered exactly.
 
     Parameters
     ----------
@@ -120,12 +111,11 @@ def effective_channel(
     if precoder_vector.shape != (cfg.nu,):
         raise ValueError(f"precoder length {precoder_vector.shape} does not match nu={cfg.nu}")
     alignment = complex(steering_ula(angles.u_a, cfg.nu) @ precoder_vector)
-    vector = mu * alignment * steering_upa(angles.u, angles.v, cfg.nx, cfg.ny)
-    return EffectiveChannel(vector=vector, alignment=alignment)
+    return mu * alignment * steering_upa(angles.u, angles.v, cfg.nx, cfg.ny)
 
 
 def measure_beams(
-    heff: EffectiveChannel,
+    heff: np.ndarray,
     weights: np.ndarray,
     budget: LinkBudget,
     rng: np.random.Generator,
@@ -148,7 +138,7 @@ def measure_beams(
     """
     w = np.atleast_2d(weights)
     s = np.sqrt(budget.es)
-    signal = w.conj() @ heff.vector * s
+    signal = w.conj() @ heff * s
     sig_n = np.sqrt(budget.sigma_n2 / 2.0)
     norms = np.linalg.norm(w, axis=1)
     z = rng.standard_normal((w.shape[0], 2))

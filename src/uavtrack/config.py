@@ -83,6 +83,8 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}")
         if self.run_trials < 1 or self.run_blocks < 1:
             raise ConfigError("run.trials and run.blocks must be at least 1")
+        if self.run_seed < 0:
+            raise ConfigError(f"run.seed must be nonnegative, got {self.run_seed}")
         for key in ("run.schemes", "link.snr_db", "estimator.phase_bits"):
             values = getattr(self, key.replace(".", "_"))
             if not values:
@@ -192,13 +194,6 @@ class ScenarioConfig:
 
 def parse_value(text: str, typ):
     """Convert one config token (or comma list) to its schema type."""
-    if typ is bool:
-        low = text.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
     if typ is int:
         return int(text)
     if typ is float:

@@ -120,14 +120,14 @@ def arrival_angles(uav_pos: Position3, gs_pos: Position3) -> SpatialAngles:
     return SpatialAngles(u=dx / r, v=dy / r)
 
 
-def departure_angle(gs_pos_u: Position3, heading: float, att: Attitude = Attitude()) -> float:
+def departure_angle(gs_pos_u: Position3, heading: float) -> float:
     """Departure cosine u_a of the ground station from the UAV body array.
 
-    The body x-axis is rotated from the u-frame by the heading angle plus
-    yaw. The azimuth of the ground station is taken as the two-quadrant
-    arctangent of the horizontal u-frame coordinates, so pitch and roll do
-    not perturb u_a; for a body-axis linear array only the azimuth offset
-    is observable.
+    The UAV flies level with its body x-axis along its course, so the
+    body frame is the u-frame rotated by the heading angle. The azimuth of
+    the ground station is taken as the two-quadrant arctangent of the
+    horizontal u-frame coordinates; for a body-axis linear array only the
+    azimuth offset is observable.
 
     Parameters
     ----------
@@ -135,13 +135,11 @@ def departure_angle(gs_pos_u: Position3, heading: float, att: Attitude = Attitud
         Ground station position expressed in the u-frame.
     heading : float
         Course angle of the velocity vector, radians.
-    att : Attitude
-        Body attitude; only yaw contributes.
 
     Returns
     -------
     float
-        u_a = cos(azimuth + heading + yaw), in [-1, 1].
+        u_a = cos(azimuth + heading), in [-1, 1].
     """
     gx, gy = gs_pos_u.x, gs_pos_u.y
     if gx == 0.0 and gy == 0.0:
@@ -149,7 +147,7 @@ def departure_angle(gs_pos_u: Position3, heading: float, att: Attitude = Attitud
     if gx < 0.0:
         gx, gy = -gx, -gy
     phi = math.atan2(gy, gx)
-    return math.cos(phi + heading + att.yaw)
+    return math.cos(phi + heading)
 
 
 def position_from_angles(u: float, v: float, delta_h: float) -> Position3:

@@ -15,7 +15,7 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
@@ -346,9 +346,6 @@ def fit_hyperparams(
     y = np.asarray(y, dtype=float)
     hp = init if init is not None else default_init(x, y)
     lo, hi = math.log(BOUND_LO), math.log(BOUND_HI)
-
-    if hp.sigma_n == 0.0:
-        hp = replace(hp, sigma_n=BOUND_LO)
     obj = _Objective(x, y)
 
     def evaluate(v: list[float]):

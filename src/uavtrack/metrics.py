@@ -10,21 +10,18 @@ predicts the campaign's spectral efficiency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, EffectiveChannel, LinkBudget
+from .channel import ArrayConfig, LinkBudget
 
 __all__ = [
-    "MaePrediction",
     "axis_gain_ratio",
     "beam_gain",
     "realized_gain",
     "normalized_gain",
     "spectral_efficiency",
     "predicted_gain_from_mae",
-    "predict_from_mae",
 ]
 
 
@@ -52,9 +49,9 @@ def beam_gain(du, dv, cfg: ArrayConfig):
     return abs(val) if np.ndim(val) == 0 else np.abs(val)
 
 
-def realized_gain(weights: np.ndarray, heff: EffectiveChannel) -> float:
+def realized_gain(weights: np.ndarray, heff: np.ndarray) -> float:
     """|w^H h| against a simulated effective channel."""
-    return float(np.abs(weights.conj() @ heff.vector))
+    return float(np.abs(weights.conj() @ heff))
 
 
 def normalized_gain(gain: float, cfg: ArrayConfig) -> float:
@@ -84,15 +81,3 @@ def predicted_gain_from_mae(mae: float, cfg: ArrayConfig) -> float:
         raise ValueError(f"mae {mae:.4f} is outside the main lobe (limit {lim:.4f})")
     return beam_gain(mae, mae, cfg)
 
-
-@dataclass(frozen=True)
-class MaePrediction:
-    mae: float
-    gain: float
-    se: float
-
-
-def predict_from_mae(mae: float, cfg: ArrayConfig, budget: LinkBudget) -> MaePrediction:
-    """Campaign-level prediction: gain and spectral efficiency at the MAE."""
-    gain = predicted_gain_from_mae(mae, cfg)
-    return MaePrediction(mae=mae, gain=gain, se=spectral_efficiency(gain, budget))

@@ -1,8 +1,8 @@
 """Gauss-Markov flight dynamics on a block clock.
 
 Speed and heading each follow a first-order autoregression; the position
-integrates the velocity vector once per block. Heights stay constant, and
-pitch/roll default to zero.
+integrates the velocity vector once per block. The UAV flies level at a
+constant height, its body axis along its course.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Attitude, Position3
+from .geometry import Position3
 
 TAU = 2.0 * math.pi
 
@@ -53,7 +53,6 @@ class FlightState:
     position: Position3
     speed: float  # m/s, in [speed_min, speed_max]
     heading: float  # rad, in (-pi, pi]
-    attitude: Attitude = Attitude()
 
 
 def _wrap_angle(phi: float) -> float:
@@ -101,4 +100,4 @@ def step(state: FlightState, cfg: MobilityConfig, rng: np.random.Generator) -> F
     eps_d = rng.normal(0.0, _noise_std(cfg, cfg.sigma_heading))
     speed = min(max(cfg.rho * state.speed + eps_v, cfg.speed_min), cfg.speed_max)
     heading = _wrap_angle(cfg.rho * state.heading + eps_d)
-    return FlightState(position=pos, speed=speed, heading=heading, attitude=state.attitude)
+    return FlightState(position=pos, speed=speed, heading=heading)

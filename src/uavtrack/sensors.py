@@ -2,9 +2,9 @@
 
 Two sources feed the tracker: a ground-station-side GPS fix of the UAV
 (horizontal position, with velocity derived by differencing consecutive
-fixes) and the UAV's own navigation unit (position plus heading, the
-heading already including yaw). Both report on their own periods, which
-must be integer multiples of the transmission block.
+fixes) and the UAV's own navigation unit (position plus heading). Both
+report on their own periods, which must be integer multiples of the
+transmission block.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def ground_gps_measure(
 def egi_measure(
     state: FlightState, cfg: SensorNoiseConfig, rng: np.random.Generator
 ) -> SensorReading:
-    """Navigation-unit reading: own position and heading (course plus yaw)."""
+    """Navigation-unit reading: own position and heading."""
     ex, ey = rng.normal(0.0, cfg.sigma_ins_pos, size=2)
     eh = rng.normal(0.0, cfg.sigma_heading)
     pos = Position3(state.position.x + float(ex), state.position.y + float(ey), state.position.h)
-    heading = state.heading + state.attitude.yaw + float(eh)
+    heading = state.heading + float(eh)
     return SensorReading(position=pos, heading=heading)
 
 

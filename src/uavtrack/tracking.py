@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import CandidateSet, candidate_set, grid_weights, steer_weights
-from .channel import ArrayConfig, EffectiveChannel, LinkBudget, measure_beams
+from .channel import ArrayConfig, LinkBudget, measure_beams
 from .geometry import Position3, SpatialAngles, position_from_angles
 from .gpr import fit_hyperparams, make_model, posterior, posterior_mean_gradient
 from .sensors import SensorReading
@@ -120,7 +120,7 @@ def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> 
 
 
 def _sounder(
-    heff: EffectiveChannel, cfg: ArrayConfig, budget: LinkBudget, rng: np.random.Generator
+    heff: np.ndarray, cfg: ArrayConfig, budget: LinkBudget, rng: np.random.Generator
 ):
     """Beam magnitudes over the coherent array factor sqrt(nu * nx * ny)."""
     norm = math.sqrt(cfg.nu * cfg.nx * cfg.ny)
@@ -167,7 +167,7 @@ def _result(x: np.ndarray, iterations: int, measurements: int) -> RefineResult:
 
 
 def refine_hybrid(
-    heff: EffectiveChannel,
+    heff: np.ndarray,
     seed: SpatialAngles,
     cfg: ArrayConfig,
     budget: LinkBudget,
@@ -203,7 +203,7 @@ def refine_hybrid(
 
 
 def refine_analog(
-    heff: EffectiveChannel,
+    heff: np.ndarray,
     seed: SpatialAngles,
     cfg: ArrayConfig,
     budget: LinkBudget,
@@ -236,7 +236,7 @@ def baseline_gps_only(seed: SpatialAngles) -> RefineResult:
 
 
 def baseline_perturbation(
-    heff: EffectiveChannel,
+    heff: np.ndarray,
     seed: SpatialAngles,
     cfg: ArrayConfig,
     budget: LinkBudget,
@@ -267,7 +267,7 @@ def baseline_perturbation(
 
 
 def baseline_codebook(
-    heff: EffectiveChannel,
+    heff: np.ndarray,
     seed: SpatialAngles,
     cfg: ArrayConfig,
     budget: LinkBudget,

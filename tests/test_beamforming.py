@@ -44,7 +44,8 @@ def test_build_precoder_exact_reading():
 
     true_ua = departure_angle(Position3(gs.x - uav.x, gs.y - uav.y, gs.h - uav.h), 0.25)
     h = effective_channel(SpatialAngles(0.1, 0.1, u_a=true_ua), p, 1.0, CFG)
-    assert abs(abs(h.alignment) - math.sqrt(8)) < 1e-12
+    # ||h|| = |alignment| * sqrt(nx * ny) with |mu| = 1
+    assert abs(np.linalg.norm(h) / 8.0 - math.sqrt(8)) < 1e-12
 
 
 def test_build_precoder_requires_heading():
@@ -62,24 +63,28 @@ def test_alignment_loss_at_small_steering_error():
 
 def test_candidate_set_default_geometry():
     c = candidate_set(0.1, -0.2, CFG, 6)
-    assert c.g_axis == 6
+    assert len(c.u_values) == len(c.v_values) == 6
     assert c.size == 36
+    assert c.points.shape == (36, 2)
     assert abs(c.delta - 2.0 * math.pi / 64.0) < 1e-15
-    assert abs(c.half_span - 0.25) < 1e-15
+    # the box is seed -/+ 2 / nx, the half main-lobe width
+    assert np.array_equal(c.lo, [0.1 - 0.25, -0.2 - 0.25])
+    assert np.array_equal(c.hi, [0.1 + 0.25, -0.2 + 0.25])
     assert np.all(c.u_values >= 0.1 - 0.25 - 1e-12)
     assert np.all(c.u_values <= 0.1 + 0.25 + 1e-12)
 
 
 def test_candidate_counts_over_phase_bits():
-    counts = [candidate_set(0.0, 0.0, CFG, l).g_axis for l in (4, 5, 6, 7, 8)]
+    counts = [len(candidate_set(0.0, 0.0, CFG, l).u_values) for l in (4, 5, 6, 7, 8)]
     assert counts == [2, 3, 6, 11, 21]
 
 
 def test_candidate_endpoints_when_step_spans_grid():
-    c = candidate_set(0.0, 0.0, CFG, 6, half_span=2.0 * math.pi / 128.0)
-    assert c.g_axis == 2
-    assert abs(c.u_values[0] - (-c.half_span)) < 1e-15
-    assert abs(c.u_values[1] - c.half_span) < 1e-15
+    # 4 bits: one step of 2 pi / 16 fits in the 0.5-wide box, not two
+    c = candidate_set(0.0, 0.0, CFG, 4)
+    assert len(c.u_values) == 2
+    assert c.u_values[0] == c.lo[0] == -0.25
+    assert c.u_values[1] == -0.25 + c.delta < c.hi[0]
 
 
 def test_candidate_grid_clips_to_unit_interval():
@@ -92,17 +97,18 @@ def test_candidate_grid_clips_to_unit_interval():
 def test_candidate_points_row_major():
     c = candidate_set(0.1, -0.2, CFG, 6)
     pts = c.points
-    for i in range(c.g_axis):
-        for j in range(c.g_axis):
-            assert pts[i * c.g_axis + j, 0] == c.u_values[i]
-            assert pts[i * c.g_axis + j, 1] == c.v_values[j]
+    g_axis = len(c.v_values)
+    for i in range(len(c.u_values)):
+        for j in range(g_axis):
+            assert pts[i * g_axis + j, 0] == c.u_values[i]
+            assert pts[i * g_axis + j, 1] == c.v_values[j]
 
 
 def test_candidate_clip_projects_to_box():
     c = candidate_set(0.1, -0.2, CFG, 6)
     p = c.clip(np.array([5.0, -5.0]))
-    assert p[0] == 0.1 + c.half_span
-    assert p[1] == -0.2 - c.half_span
+    assert p[0] == 0.1 + 0.25
+    assert p[1] == -0.2 - 0.25
     inside = np.array([0.12, -0.18])
     assert np.array_equal(c.clip(inside), inside)
 
@@ -193,7 +199,7 @@ def test_noiseless_grid_argmax_is_nearest_point():
             SpatialAngles(tu, tv, u_a=0.3), precoder_from_angle(0.3, 8), 1.0, CFG
         )
         c = candidate_set(seed_u, seed_v, CFG, 6)
-        surf = np.abs(grid_weights(c, CFG).conj() @ h.vector)
+        surf = np.abs(grid_weights(c, CFG).conj() @ h)
         pick = c.points[int(np.argmax(surf))]
         assert pick[0] == c.u_values[np.argmin(np.abs(c.u_values - tu))]
         assert pick[1] == c.v_values[np.argmin(np.abs(c.v_values - tv))]

@@ -22,7 +22,7 @@ from uavtrack.campaign import (
     write_trace_csv,
 )
 from uavtrack.config import ConfigError, ScenarioConfig
-from uavtrack.metrics import predict_from_mae
+from uavtrack.metrics import predicted_gain_from_mae, spectral_efficiency
 
 
 def _small_cfg(**kw):
@@ -187,9 +187,9 @@ def test_summarize_per_block_and_campaign_rows():
     assert abs(camp["mae_angle"] - 0.005) < 1e-15
     assert abs(camp["rmse_pos_m"] - 1.0) < 1e-12
     assert abs(camp["mean_gain"] - 10.0) < 1e-12
-    pred = predict_from_mae(camp["mae_angle"], cfg.arrays(), cfg.budget(20.0))
-    assert abs(camp["pred_gain_at_mae"] - pred.gain) < 1e-12
-    assert abs(camp["pred_se_at_mae"] - pred.se) < 1e-12
+    gain = predicted_gain_from_mae(camp["mae_angle"], cfg.arrays())
+    assert abs(camp["pred_gain_at_mae"] - gain) < 1e-12
+    assert abs(camp["pred_se_at_mae"] - spectral_efficiency(gain, cfg.budget(20.0))) < 1e-12
 
 
 def test_summarize_blank_prediction_outside_main_lobe():

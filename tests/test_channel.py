@@ -6,7 +6,6 @@ import pytest
 from uavtrack.beamforming import candidate_set, grid_weights, precoder_from_angle
 from uavtrack.channel import (
     ArrayConfig,
-    EffectiveChannel,
     LinkBudget,
     effective_channel,
     measure_beams,
@@ -72,17 +71,20 @@ def test_effective_channel_requires_departure_cosine():
         effective_channel(SpatialAngles(0.1, 0.1), precoder_from_angle(0.0, 8), 1.0, CFG)
 
 
+# |mu| = 1 and ||a_g|| = sqrt(nx * ny) = 8, so ||h|| = 8 |alignment|
+
+
 def test_alignment_at_truth_is_sqrt_nu():
     h = _aligned_channel()
-    assert abs(abs(h.alignment) - math.sqrt(8)) < 1e-12
-    assert abs(abs(h.alignment) - 2.8284271247461903) < 1e-12
+    assert abs(np.linalg.norm(h) / 8.0 - math.sqrt(8)) < 1e-12
+    assert abs(np.linalg.norm(h) / 8.0 - 2.8284271247461903) < 1e-12
 
 
 def test_alignment_at_first_null_is_zero():
     ang = SpatialAngles(0.1, -0.2, u_a=0.3)
     f = precoder_from_angle(0.3 + 2.0 / 8.0, CFG.nu)
     h = effective_channel(ang, f, 1.0, CFG)
-    assert abs(h.alignment) < 1e-12
+    assert np.linalg.norm(h) / 8.0 < 1e-12
 
 
 def test_alignment_small_error_dirichlet_value():
@@ -91,14 +93,16 @@ def test_alignment_small_error_dirichlet_value():
     ang = SpatialAngles(0.1, -0.2, u_a=0.3)
     f = precoder_from_angle(0.3 + 0.05, CFG.nu)
     h = effective_channel(ang, f, 1.0, CFG)
-    assert abs(abs(h.alignment) - 7.491613901992367 / math.sqrt(8)) < 1e-9
+    assert abs(np.linalg.norm(h) / 8.0 - 7.491613901992367 / math.sqrt(8)) < 1e-9
 
 
 def test_effective_vector_structure():
     mu = np.exp(1j * 0.7)
     h = _aligned_channel(mu=mu)
-    want = mu * h.alignment * steering_upa(0.1, -0.2, 8, 8)
-    assert np.max(np.abs(h.vector - want)) < 1e-12
+    alignment = steering_ula(0.3, 8) @ precoder_from_angle(0.3, 8)
+    want = mu * alignment * steering_upa(0.1, -0.2, 8, 8)
+    assert h.shape == (64,)
+    assert np.max(np.abs(h - want)) < 1e-12
 
 
 def test_measure_noiseless_coherent_limit():
@@ -148,7 +152,7 @@ def test_closed_form_gain_matches_inner_product():
         du, dv = rng.uniform(-0.2, 0.2, 2)
         h = _aligned_channel(u=u, v=v)
         w = steering_upa(u + du, v + dv, 8, 8) / 8.0
-        direct = abs(np.vdot(w, h.vector))
+        direct = abs(np.vdot(w, h))
         assert abs(direct - beam_gain(du, dv, CFG)) < 1e-10
 
 
@@ -160,6 +164,6 @@ def test_grid_surface_unimodal():
         tv = seed_v + rng.uniform(-0.2, 0.2)
         h = _aligned_channel(u=tu, v=tv)
         cands = candidate_set(seed_u, seed_v, CFG, 6)
-        surf = np.abs(grid_weights(cands, CFG).conj() @ h.vector)
+        surf = np.abs(grid_weights(cands, CFG).conj() @ h)
         top = np.sort(surf)
         assert top[-1] > top[-2] + 1e-12

@@ -145,6 +145,20 @@ def test_load_time_rejections_exit_2(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["file", "flag", "env"])
+def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, source):
+    cfg = _write_config(tmp_path, SMALL + ("run.seed = -1\n" if source == "file" else ""))
+    out = tmp_path / "runs"
+    argv = ["simulate", "--config", cfg, "--out", str(out)]
+    if source == "flag":
+        argv.append("--seed=-1")
+    if source == "env":
+        monkeypatch.setenv("UAVTRACK_SEED", "-1")
+    assert main(argv) == 2
+    assert "run.seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeated_scheme_flag_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"

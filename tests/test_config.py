@@ -3,7 +3,11 @@ from dataclasses import fields
 
 import pytest
 
+from uavtrack.channel import ArrayConfig, LinkBudget
 from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig, parse_value
+from uavtrack.mobility import MobilityConfig
+from uavtrack.sensors import Schedule, SensorNoiseConfig
+from uavtrack.tracking import EstimatorConfig
 
 
 def test_defaults_describe_nominal_scenario():
@@ -110,12 +114,8 @@ def test_override_replaces_and_revalidates():
         ScenarioConfig().override(run_schemes=("nope",))
 
 
-def test_parse_value_lists_and_booleans():
+def test_parse_value_lists():
     assert parse_value("1, 2,3", tuple[int, ...]) == (1, 2, 3)
-    assert parse_value("on", bool) is True
-    assert parse_value("no", bool) is False
-    with pytest.raises(ValueError):
-        parse_value("maybe", bool)
     with pytest.raises(ValueError):
         parse_value(" , ", tuple[float, ...])
 
@@ -152,6 +152,7 @@ BAD_VALUES = [
     ("run.schemes", "gps_only, gps_only", "run.schemes repeats an entry: gps_only, gps_only"),
     ("link.snr_db", "10, 20, 10", "link.snr_db repeats an entry: 10.0, 20.0, 10.0"),
     ("estimator.phase_bits", "6, 6", "estimator.phase_bits repeats an entry: 6, 6"),
+    ("run.seed", "-1", "run.seed must be nonnegative, got -1"),
 ]
 
 
@@ -167,6 +168,18 @@ def test_bad_values_rejected_by_constructor(key, text, message):
 def test_bad_values_rejected_by_config_text(key, text, message):
     with pytest.raises(ConfigError, match=f"^myfile: {message}"):
         ScenarioConfig.from_text(f"run.trials = 2\n{key} = {text}\n", source="myfile")
+
+
+def test_module_config_defaults_equal_the_scenario_defaults():
+    # unit tests build the module configs with their own defaults; those
+    # must be the scenario that a default campaign runs
+    cfg = ScenarioConfig()
+    assert cfg.arrays() == ArrayConfig()
+    assert cfg.budget(20.0) == LinkBudget()
+    assert cfg.schedule() == Schedule()
+    assert cfg.sensors() == SensorNoiseConfig()
+    assert cfg.mobility() == MobilityConfig()
+    assert cfg.estimator(6) == EstimatorConfig()
 
 
 def test_nominal_config_file_equals_the_defaults():

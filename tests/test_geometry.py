@@ -113,19 +113,6 @@ def test_departure_degenerate_raises():
         departure_angle(Position3(0.0, 0.0, -175.0), 0.0)
 
 
-@given(
-    st.floats(-1.5, 1.5),
-    st.floats(-1.5, 1.5),
-    st.floats(-math.pi, math.pi),
-    st.floats(-math.pi, math.pi),
-)
-def test_departure_pitch_roll_invariant(pitch, roll, heading, az):
-    g = Position3(40.0 * math.cos(az), 40.0 * math.sin(az), -175.0)
-    base = departure_angle(g, heading, Attitude())
-    tilted = departure_angle(g, heading, Attitude(pitch=pitch, roll=roll))
-    assert abs(base - tilted) < 1e-9
-
-
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_departure_bounded(heading, az):
     g = Position3(40.0 * math.cos(az), 40.0 * math.sin(az), -175.0)

@@ -10,7 +10,6 @@ from uavtrack.metrics import (
     axis_gain_ratio,
     beam_gain,
     normalized_gain,
-    predict_from_mae,
     predicted_gain_from_mae,
     realized_gain,
     spectral_efficiency,
@@ -99,9 +98,10 @@ def test_predicted_matches_realized_at_equal_offsets():
         assert abs(predicted_gain_from_mae(mae, CFG) - beam_gain(mae, mae, CFG)) < 1e-12
 
 
-def test_predict_from_mae_bundle():
+def test_predicted_se_at_mae():
+    # the summary's pred_se_at_mae: log2(1 + es g^2 / sigma_n^2) at the
+    # closed-form gain for equal per-axis offsets set to the MAE
     budget = LinkBudget(es=1.0, snr_db=20.0)
-    p = predict_from_mae(0.05, CFG, budget)
-    assert p.mae == 0.05
-    assert abs(p.gain - beam_gain(0.05, 0.05, CFG)) < 1e-12
-    assert abs(p.se - spectral_efficiency(p.gain, budget)) < 1e-12
+    gain = predicted_gain_from_mae(0.05, CFG)
+    want = math.log2(1.0 + beam_gain(0.05, 0.05, CFG) ** 2 / 0.01)
+    assert abs(spectral_efficiency(gain, budget) - want) < 1e-12

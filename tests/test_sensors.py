@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavtrack.geometry import Attitude, Position3
+from uavtrack.geometry import Position3
 from uavtrack.mobility import FlightState
 from uavtrack.sensors import (
     Schedule,
@@ -75,13 +75,6 @@ def test_egi_exact_when_noiseless():
     r = egi_measure(STATE, cfg, np.random.default_rng(0))
     assert r.position == STATE.position
     assert r.heading == STATE.heading
-
-
-def test_egi_heading_includes_yaw():
-    cfg = SensorNoiseConfig(sigma_ins_pos=0.0, sigma_heading=0.0)
-    tilted = FlightState(STATE.position, STATE.speed, STATE.heading, Attitude(yaw=0.1))
-    r = egi_measure(tilted, cfg, np.random.default_rng(0))
-    assert abs(r.heading - (0.25 + 0.1)) < 1e-15
 
 
 def test_egi_heading_noise_std():

@@ -259,7 +259,7 @@ def test_analog_iterate_sequence_monotone_on_noiseless_surface():
         tu, tv = su + g.uniform(-0.2, 0.2), sv + g.uniform(-0.2, 0.2)
         h = _chan(tu, tv)
         c = candidate_set(su, sv, CFG, 6)
-        y = np.abs(grid_weights(c, CFG, 6).conj() @ h.vector) / NORM
+        y = np.abs(grid_weights(c, CFG, 6).conj() @ h) / NORM
         fit = fit_hyperparams(c.points, y, max_iter=tr.FIT_MAX_ITER)
         model = make_model(c.points, y, fit.hyperparams)
         x = c.points[int(np.argmax(y))]
