@@ -4,6 +4,11 @@ The simulate path calls LAPACK on matrices of a few dozen rows, where a
 second BLAS thread saves no wall time: it wakes for a few calls and then
 spins between them, doubling CPU time per row. Campaigns therefore run
 BLAS on one thread; parallelism belongs to whole trials.
+
+`campaign.run_campaign` forks its trial workers inside `one_blas_thread()`,
+so they inherit one thread from the parent. A worker must not call a
+setter itself: OpenBLAS stops its thread pools at fork, a setter call in
+the child starts them again, and their idle threads spin.
 """
 
 from __future__ import annotations

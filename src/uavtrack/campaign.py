@@ -12,6 +12,7 @@ identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -244,13 +245,50 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
     return rows
 
 
+def _trial_rows(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
+    """_run_trial, with the trial and the seed noted on what it raises."""
+    try:
+        return _run_trial(cfg, trial)
+    except Exception as e:
+        e.add_note(f"in trial {trial} of run.seed {cfg.run_seed}")
+        raise
+
+
+def _worker_count(trials: int) -> int:
+    """One worker per CPU this process may run on, at most one per trial."""
+    return min(len(os.sched_getaffinity(0)), trials)
+
+
 def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
     """Run trials x sweep x schemes with paired noise, in a fixed order.
 
-    BLAS runs on one thread meanwhile (see uavtrack.blas).
+    Trials run in forked worker processes, one per CPU of the affinity mask
+    (`taskset -c 0` gives a serial run), and their rows are merged in trial
+    order. Each trial draws only from its own streams, so the rows do not
+    depend on the worker count. BLAS runs on one thread meanwhile (see
+    uavtrack.blas).
     """
+    trials = range(cfg.run_trials)
+    workers = _worker_count(cfg.run_trials)
     with one_blas_thread():
-        rows = [row for trial in range(cfg.run_trials) for row in _run_trial(cfg, trial)]
+        if workers == 1:
+            per_trial = [_trial_rows(cfg, trial) for trial in trials]
+        else:
+            # imported here: multiprocessing adds about 8 ms to the start of
+            # every interpreter, and one-trial runs never need it
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            # Workers fork, not spawn, inside one_blas_thread(), so they
+            # inherit the loaded modules and the one BLAS thread. They must
+            # not set it again: OpenBLAS stops its thread pools at fork, a
+            # setter call in the child starts them again, and their idle
+            # threads spin, which doubled a worker's CPU time. Leaving the
+            # block joins every worker, so their CPU time is in
+            # RUSAGE_CHILDREN and none of them runs after this returns.
+            with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+                per_trial = list(pool.map(_trial_rows, itertools.repeat(cfg), trials))
+    rows = [row for trial_rows in per_trial for row in trial_rows]
     return CampaignResult(config=cfg, rows=tuple(rows))
 
 

@@ -114,6 +114,11 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+def _report(kind: str, e: Exception) -> None:
+    """The error's message, then its notes (such as the trial that raised)."""
+    print(f"{kind}: {e}", *getattr(e, "__notes__", ()), sep="\n  ", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -122,10 +127,10 @@ def main(argv=None) -> int:
             return _cmd_simulate(args)
         return _cmd_tables(args)
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _report("error", e)
         return 2
     except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
+        _report("i/o error", e)
         return 3
 
 

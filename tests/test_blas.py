@@ -1,3 +1,6 @@
+import os
+
+import numpy as np
 import pytest
 
 from uavtrack import campaign
@@ -52,4 +55,22 @@ def test_campaign_restores_blas_threads_when_a_trial_raises(two_threads, monkeyp
     monkeypatch.setattr(campaign, "_run_trial", fail)
     with pytest.raises(RuntimeError, match="trial failed"):
         campaign.run_campaign(CFG)
+    assert _counts() == two_threads
+
+
+def test_campaign_workers_inherit_one_blas_thread(two_threads, monkeypatch):
+    def spy(cfg, trial):
+        # runs in a forked worker: it must see the parent's one thread, and
+        # BLAS work must start no OpenBLAS threads, as a setter call would
+        counts = _counts()
+        np.ones((64, 64)) @ np.ones((64, 64))
+        threads = len(os.listdir("/proc/self/task"))
+        if counts != [1] * len(counts) or threads != 1:
+            raise RuntimeError(f"worker BLAS threads {counts}, OS threads {threads}")
+        return [os.getpid()]
+
+    monkeypatch.setattr(campaign, "_worker_count", lambda trials: min(2, trials))
+    monkeypatch.setattr(campaign, "_run_trial", spy)
+    pids = campaign.run_campaign(CFG.override(run_trials=2)).rows
+    assert len(pids) == 2 and os.getpid() not in pids
     assert _counts() == two_threads

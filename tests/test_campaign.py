@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from uavtrack.campaign import (
     write_summary_csv,
     write_trace_csv,
 )
-from uavtrack.config import ConfigError, ScenarioConfig
+from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
 from uavtrack.metrics import predicted_gain_from_mae, spectral_efficiency
 
 
@@ -153,8 +154,57 @@ def test_gps_only_block_after_a_fix_pair_is_dead_reckoned():
     assert abs(row.est_y - want_y) < 1e-9
 
 
+def _force_workers(monkeypatch, n):
+    monkeypatch.setattr(campaign, "_worker_count", lambda trials: min(n, trials))
+
+
+def test_worker_count_is_cpus_capped_by_trials():
+    cpus = len(os.sched_getaffinity(0))
+    assert campaign._worker_count(1) == 1
+    assert campaign._worker_count(10**6) == cpus
+
+
+def test_outputs_are_byte_equal_across_worker_counts(tmp_path, monkeypatch):
+    cfg = ScenarioConfig(
+        run_trials=3,
+        run_blocks=2,
+        run_schemes=SCHEMES,
+        link_snr_db=(10.0, 20.0),
+        estimator_phase_bits=(5, 6),
+    )
+    outputs = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        res = run_campaign(cfg)
+        trace = tmp_path / f"trace_{workers}.csv"
+        summary = tmp_path / f"summary_{workers}.csv"
+        write_trace_csv(str(trace), res)
+        write_summary_csv(str(summary), res.summary_rows())
+        outputs.append((trace.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trial_error_keeps_type_and_message_and_names_trial(monkeypatch, workers):
+    real_run_trial = campaign._run_trial
+
+    def fail_trial_1(cfg, trial):
+        if trial == 1:
+            raise ConfigError("trial 1 failed")
+        return real_run_trial(cfg, trial)
+
+    _force_workers(monkeypatch, workers)
+    monkeypatch.setattr(campaign, "_run_trial", fail_trial_1)
+    cfg = ScenarioConfig(run_trials=2, run_blocks=1, run_schemes=("gps_only",), run_seed=17)
+    with pytest.raises(ConfigError) as info:
+        run_campaign(cfg)
+    assert str(info.value) == "trial 1 failed"
+    assert info.value.__notes__ == ["in trial 1 of run.seed 17"]
+
+
 def test_channel_and_precoder_built_once_per_trial_block(monkeypatch):
     cfg = _small_cfg()  # 2 schemes x 2 SNRs share each trial's world
+    _force_workers(monkeypatch, 1)  # the calls are counted in this process
     calls = {"effective_channel": 0, "build_precoder": 0}
     for name in calls:
         original = getattr(campaign, name)

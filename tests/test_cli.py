@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from uavtrack import campaign
 from uavtrack.cli import main
+from uavtrack.config import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +85,21 @@ def test_cli_flag_beats_env(tmp_path, monkeypatch):
     assert code == 0
     lines = (out / "trace.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_trial_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    def fail_trial_1(cfg, trial):
+        if trial == 1:
+            raise ConfigError("trial 1 failed")
+        return []
+
+    monkeypatch.setattr(campaign, "_worker_count", lambda trials: min(2, trials))
+    monkeypatch.setattr(campaign, "_run_trial", fail_trial_1)
+    cfg = _write_config(tmp_path, SMALL)
+    code = main(["simulate", "--config", cfg, "--trials", "2", "--seed", "9", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: trial 1 failed\n  in trial 1 of run.seed 9\n"
 
 
 def test_bad_env_value_exit_2(tmp_path, monkeypatch, capsys):
