@@ -7,6 +7,8 @@ Each campaign writes trace.csv and summary.csv under OUT_DIR/<campaign>/:
 
   golden             the golden-trace config of tests/test_golden_trace.py
   criterion7         acceptance criterion 7's campaign at 40 trials
+  criterion7_single  the same campaign at 1 trial, which run_campaign splits
+                     at its GPS fixes on a machine with 2 or more CPUs
   estimation_sweep   configs/estimation_sweep.conf at 30 trials
   phase_bits         analog_gpr and codebook_max at 4-8 phase bits and
                      10 and 20 dB, 12 trials of the estimation sweep
@@ -33,15 +35,17 @@ _DEGRADED = dict(sensors_sigma_gps_m=5.0, sensors_sigma_ins_m=5.0, sensors_sigma
 def campaigns() -> dict[str, ScenarioConfig]:
     """Campaign name to config, in run order."""
     sweep = ScenarioConfig.from_file(os.path.join(ROOT, "configs", "estimation_sweep.conf"))
+    criterion7 = ScenarioConfig(
+        run_trials=40, run_blocks=20, run_schemes=("hybrid_gpr", "gps_only"),
+        link_snr_db=(10.0,), **_DEGRADED,
+    )
     return {
         "golden": ScenarioConfig(
             run_trials=2, run_blocks=4, run_seed=2024, run_schemes=SCHEMES,
             link_snr_db=(10.0, 30.0), estimator_phase_bits=(5, 6), **_DEGRADED,
         ),
-        "criterion7": ScenarioConfig(
-            run_trials=40, run_blocks=20, run_schemes=("hybrid_gpr", "gps_only"),
-            link_snr_db=(10.0,), **_DEGRADED,
-        ),
+        "criterion7": criterion7,
+        "criterion7_single": criterion7.override(run_trials=1),
         "estimation_sweep": sweep.override(run_trials=30),
         "phase_bits": sweep.override(
             run_trials=12, run_schemes=("analog_gpr", "codebook_max"),

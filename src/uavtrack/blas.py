@@ -3,9 +3,10 @@
 The simulate path calls LAPACK on matrices of a few dozen rows, where a
 second BLAS thread saves no wall time: it wakes for a few calls and then
 spins between them, doubling CPU time per row. Campaigns therefore run
-BLAS on one thread; parallelism belongs to whole trials.
+BLAS on one thread; parallelism belongs to units of work: whole trials,
+or, with fewer trials than CPUs, the spans of a trial between GPS fixes.
 
-`campaign.run_campaign` forks its trial workers inside `one_blas_thread()`,
+`campaign.run_campaign` forks its workers inside `one_blas_thread()`,
 so they inherit one thread from the parent. A worker must not call a
 setter itself: OpenBLAS stops its thread pools at fork, a setter call in
 the child starts them again, and their idle threads spin.

@@ -153,8 +153,12 @@ def simulate_readings(cfg: ScenarioConfig, trial: int, states):
     return gps, egi
 
 
-def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, rng) -> RefineResult:
-    # an if-chain, not a table: bench/layers.py traces each scheme by its name here
+def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, pilot_key) -> RefineResult:
+    # an if-chain, not a table: bench/layers.py traces each scheme by its name here.
+    # Only the pilot schemes build their stream(*pilot_key); gps_only sounds none.
+    if scheme == "gps_only":
+        return baseline_gps_only(seed)
+    rng = stream(*pilot_key)
     if scheme == "hybrid_gpr":
         return refine_hybrid(heff, seed, arr, budget, est, rng)
     if scheme == "analog_gpr":
@@ -163,19 +167,23 @@ def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, rng) -> Re
         return baseline_perturbation(heff, seed, arr, budget, est, rng)
     if scheme == "codebook_max":
         return baseline_codebook(heff, seed, arr, budget, est, rng)
-    if scheme == "gps_only":
-        return baseline_gps_only(seed)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
-    """Every row of one trial, in (SNR, phase bits, scheme, block) order.
+def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]:
+    """Every row of one trial's blocks, in (SNR, phase bits, scheme, block) order.
 
     The world is built once: the trajectory, the fading and the sensor
     readings, and per block the GPS fix, the velocity differenced from the
     two latest fixes, the precoder from the latest navigation-unit reading,
     the effective channel and the true angles. No scheme can change any of
     these, so each scheme run carries only its own position estimate.
+
+    The truth and sensor streams are sequential, so they are drawn for the
+    whole trial, and the velocity and the latest reading advance through
+    the blocks before `blocks`; the channel, the precoder and the schemes
+    run on `blocks` alone. Its first block must carry a GPS fix, which
+    predict_position takes as is: no estimate carries into a span.
     """
     arr = cfg.arrays()
     sched = cfg.schedule()
@@ -186,13 +194,15 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
     gps_readings, egi_readings = simulate_readings(cfg, trial, states)
     world = []
     velocity, last_fix, last_egi = (0.0, 0.0), None, None
-    for k, state in enumerate(states):
+    for k, state in enumerate(states[: blocks.stop]):
         gps = gps_readings.get(k)
         if gps is not None:
             if last_fix is not None:
                 velocity = derive_velocity(last_fix, gps, sched.t_gps)
             last_fix = gps
         last_egi = egi_readings.get(k, last_egi)
+        if k < blocks.start:
+            continue
         arrival = arrival_angles(state.position, gs_pos)
         g_u = Position3(
             gs_pos.x - state.position.x,
@@ -202,7 +212,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
         truth = SpatialAngles(arrival.u, arrival.v, departure_angle(g_u, state.heading))
         precoder = build_precoder(last_egi, gs_pos, arr)
         heff = effective_channel(truth, precoder, complex(mus[k]), arr)
-        world.append((state.position, gps, velocity, truth, heff))
+        world.append((k, state.position, gps, velocity, truth, heff))
 
     rows = []
     for snr_db in cfg.link_snr_db:
@@ -211,12 +221,12 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
             est = cfg.estimator(phase_bits)
             for scheme in cfg.run_schemes:
                 quantize_data = phase_bits if scheme in ANALOG_SCHEMES else None
-                estimate = states[0].position
-                for k, (position, gps, velocity, truth, heff) in enumerate(world):
+                estimate = None  # the span's first block has a fix
+                for k, position, gps, velocity, truth, heff in world:
                     prior = predict_position(estimate, velocity, gps, sched.t_block)
                     seed = arrival_angles(prior, gs_pos)
-                    pilot_rng = stream(cfg.run_seed, trial, _PILOT, k)
-                    res = _refine(scheme, heff, seed, arr, budget, est, pilot_rng)
+                    pilot_key = (cfg.run_seed, trial, _PILOT, k)
+                    res = _refine(scheme, heff, seed, arr, budget, est, pilot_key)
                     estimate = fuse_position(SpatialAngles(res.u, res.v), gs_pos, delta_h)
                     gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
                     rows.append(
@@ -245,37 +255,64 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
     return rows
 
 
-def _trial_rows(cfg: ScenarioConfig, trial: int) -> list[TraceRow]:
-    """_run_trial, with the trial and the seed noted on what it raises."""
+def _unit_rows(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]:
+    """_run_trial, with the trial, the blocks of a split trial and the seed
+    noted on what it raises."""
     try:
-        return _run_trial(cfg, trial)
+        return _run_trial(cfg, trial, blocks)
     except Exception as e:
-        e.add_note(f"in trial {trial} of run.seed {cfg.run_seed}")
+        span = "" if len(blocks) == cfg.run_blocks else f", blocks {blocks.start}-{blocks[-1]},"
+        e.add_note(f"in trial {trial}{span} of run.seed {cfg.run_seed}")
         raise
 
 
-def _worker_count(trials: int) -> int:
-    """One worker per CPU this process may run on, at most one per trial."""
-    return min(len(os.sched_getaffinity(0)), trials)
+def _cpus() -> int:
+    """CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_count(units: int) -> int:
+    """One worker per CPU this process may run on, at most one per unit."""
+    return min(_cpus(), units)
+
+
+def _units(cfg: ScenarioConfig, cpus: int) -> list[tuple[int, range]]:
+    """(trial, blocks) units of work, in trial and block order.
+
+    With at least as many trials as CPUs each unit is a whole trial.
+    Otherwise each trial splits into spans that start at its GPS-fix
+    blocks, which depend on no earlier block of any scheme's chain.
+    """
+    every = cfg.run_blocks if cfg.run_trials >= cpus else cfg.schedule().gps_every
+    return [
+        (trial, range(a, min(a + every, cfg.run_blocks)))
+        for trial in range(cfg.run_trials)
+        for a in range(0, cfg.run_blocks, every)
+    ]
 
 
 def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
     """Run trials x sweep x schemes with paired noise, in a fixed order.
 
-    Trials run in forked worker processes, one per CPU of the affinity mask
-    (`taskset -c 0` gives a serial run), and their rows are merged in trial
-    order. Each trial draws only from its own streams, so the rows do not
-    depend on the worker count. BLAS runs on one thread meanwhile (see
-    uavtrack.blas).
+    Units of work run in forked worker processes, one per CPU of the
+    affinity mask (`taskset -c 0` gives a serial run). A unit is a whole
+    trial, or, when there are fewer trials than CPUs, the blocks from one
+    GPS fix to the next: a fix re-anchors every scheme's track, so a span
+    needs no estimate from the one before it. Each unit draws only from
+    its trial's streams, and pilot streams are keyed by (trial, block), so
+    the rows, merged back in (trial, SNR, phase bits, scheme, block) order,
+    do not depend on the worker count. BLAS runs on one thread meanwhile
+    (see uavtrack.blas).
     """
-    trials = range(cfg.run_trials)
-    workers = _worker_count(cfg.run_trials)
+    units = _units(cfg, _cpus())
+    workers = _worker_count(len(units))
+    trials, spans = zip(*units)
     with one_blas_thread():
         if workers == 1:
-            per_trial = [_trial_rows(cfg, trial) for trial in trials]
+            per_unit = list(map(_unit_rows, itertools.repeat(cfg), trials, spans))
         else:
             # imported here: multiprocessing adds about 8 ms to the start of
-            # every interpreter, and one-trial runs never need it
+            # every interpreter, and one-unit runs never need it
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
@@ -287,8 +324,16 @@ def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
             # block joins every worker, so their CPU time is in
             # RUSAGE_CHILDREN and none of them runs after this returns.
             with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-                per_trial = list(pool.map(_trial_rows, itertools.repeat(cfg), trials))
-    rows = [row for trial_rows in per_trial for row in trial_rows]
+                per_unit = list(pool.map(_unit_rows, itertools.repeat(cfg), trials, spans))
+    # a unit's rows are one run of len(blocks) rows per (SNR, phase bits,
+    # scheme) chain; interleave a trial's spans chain by chain
+    chains = len(cfg.link_snr_db) * len(cfg.estimator_phase_bits) * len(cfg.run_schemes)
+    rows = []
+    for _, group in itertools.groupby(zip(spans, per_unit, trials), key=lambda unit: unit[2]):
+        parts = [(len(blocks), unit_rows) for blocks, unit_rows, _ in group]
+        for c in range(chains):
+            for n, unit_rows in parts:
+                rows.extend(unit_rows[c * n : (c + 1) * n])
     return CampaignResult(config=cfg, rows=tuple(rows))
 
 

@@ -37,9 +37,9 @@ def test_campaign_runs_on_one_blas_thread_and_restores(two_threads, monkeypatch)
     seen = []
     real_run_trial = campaign._run_trial
 
-    def spy(cfg, trial):
+    def spy(cfg, trial, blocks):
         seen.append(_counts())
-        return real_run_trial(cfg, trial)
+        return real_run_trial(cfg, trial, blocks)
 
     monkeypatch.setattr(campaign, "_run_trial", spy)
     rows = campaign.run_campaign(CFG).rows
@@ -49,7 +49,7 @@ def test_campaign_runs_on_one_blas_thread_and_restores(two_threads, monkeypatch)
 
 
 def test_campaign_restores_blas_threads_when_a_trial_raises(two_threads, monkeypatch):
-    def fail(cfg, trial):
+    def fail(cfg, trial, blocks):
         raise RuntimeError("trial failed")
 
     monkeypatch.setattr(campaign, "_run_trial", fail)
@@ -59,7 +59,7 @@ def test_campaign_restores_blas_threads_when_a_trial_raises(two_threads, monkeyp
 
 
 def test_campaign_workers_inherit_one_blas_thread(two_threads, monkeypatch):
-    def spy(cfg, trial):
+    def spy(cfg, trial, blocks):
         # runs in a forked worker: it must see the parent's one thread, and
         # BLAS work must start no OpenBLAS threads, as a setter call would
         counts = _counts()

@@ -155,7 +155,8 @@ def test_gps_only_block_after_a_fix_pair_is_dead_reckoned():
 
 
 def _force_workers(monkeypatch, n):
-    monkeypatch.setattr(campaign, "_worker_count", lambda trials: min(n, trials))
+    # as if the affinity mask held n CPUs: both the split and the worker count follow
+    monkeypatch.setattr(campaign, "_cpus", lambda: n)
 
 
 def test_worker_count_is_cpus_capped_by_trials():
@@ -188,10 +189,10 @@ def test_outputs_are_byte_equal_across_worker_counts(tmp_path, monkeypatch):
 def test_trial_error_keeps_type_and_message_and_names_trial(monkeypatch, workers):
     real_run_trial = campaign._run_trial
 
-    def fail_trial_1(cfg, trial):
+    def fail_trial_1(cfg, trial, blocks):
         if trial == 1:
             raise ConfigError("trial 1 failed")
-        return real_run_trial(cfg, trial)
+        return real_run_trial(cfg, trial, blocks)
 
     _force_workers(monkeypatch, workers)
     monkeypatch.setattr(campaign, "_run_trial", fail_trial_1)
@@ -200,6 +201,66 @@ def test_trial_error_keeps_type_and_message_and_names_trial(monkeypatch, workers
         run_campaign(cfg)
     assert str(info.value) == "trial 1 failed"
     assert info.value.__notes__ == ["in trial 1 of run.seed 17"]
+
+
+def test_split_trial_error_names_its_blocks(monkeypatch):
+    real_run_trial = campaign._run_trial
+
+    def fail_blocks_5_on(cfg, trial, blocks):
+        if blocks.start == 5:
+            raise ConfigError("span failed")
+        return real_run_trial(cfg, trial, blocks)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(campaign, "_run_trial", fail_blocks_5_on)
+    cfg = ScenarioConfig(run_trials=1, run_blocks=10, run_schemes=("gps_only",), run_seed=17)
+    with pytest.raises(ConfigError) as info:
+        run_campaign(cfg)
+    assert str(info.value) == "span failed"
+    assert info.value.__notes__ == ["in trial 0, blocks 5-9, of run.seed 17"]
+
+
+def _spans(cfg, cpus):
+    return [(trial, blocks.start, blocks.stop) for trial, blocks in campaign._units(cfg, cpus)]
+
+
+def test_units_split_a_trial_at_its_gps_fixes():
+    cfg = ScenarioConfig(run_trials=1, run_blocks=20)  # a fix every 5 blocks
+    assert cfg.schedule().gps_every == 5
+    assert _spans(cfg, 2) == [(0, 0, 5), (0, 5, 10), (0, 10, 15), (0, 15, 20)]
+    assert _spans(cfg.override(run_blocks=23), 2)[-1] == (0, 20, 23)
+
+
+def test_units_keep_a_trial_with_one_fix_whole():
+    cfg = ScenarioConfig(run_trials=1, run_blocks=4)
+    cfg = cfg.override(schedule_t_gps=cfg.run_blocks * cfg.schedule_t_block)
+    assert _spans(cfg, 2) == [(0, 0, 4)]
+
+
+def test_units_are_whole_trials_once_trials_reach_cpus():
+    cfg = ScenarioConfig(run_trials=2, run_blocks=20)
+    assert _spans(cfg, 2) == [(0, 0, 20), (1, 0, 20)]
+    assert _spans(cfg, 1) == [(0, 0, 20), (1, 0, 20)]
+    assert _spans(cfg, 3) == [(t, a, a + 5) for t in (0, 1) for a in (0, 5, 10, 15)]
+
+
+def test_split_trial_outputs_are_byte_equal_to_whole(tmp_path, monkeypatch):
+    # 23 blocks leave a short last span; a carried estimate that reached a
+    # fix block would make the split rows differ from the whole-trial ones
+    cfg = ScenarioConfig(
+        run_trials=1, run_blocks=23, run_schemes=SCHEMES, link_snr_db=(10.0, 20.0)
+    )
+    outputs = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        res = run_campaign(cfg)
+        trace = tmp_path / f"trace_{workers}.csv"
+        summary = tmp_path / f"summary_{workers}.csv"
+        write_trace_csv(str(trace), res)
+        write_summary_csv(str(summary), res.summary_rows())
+        outputs.append((trace.read_bytes(), summary.read_bytes()))
+    assert len(campaign._units(cfg, 2)) == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_channel_and_precoder_built_once_per_trial_block(monkeypatch):
@@ -216,6 +277,37 @@ def test_channel_and_precoder_built_once_per_trial_block(monkeypatch):
         monkeypatch.setattr(campaign, name, counted)
     run_campaign(cfg)
     assert calls == {name: cfg.run_trials * cfg.run_blocks for name in calls}
+
+
+def test_span_builds_channel_and_precoder_for_its_blocks_only(monkeypatch):
+    cfg = ScenarioConfig(run_trials=1, run_blocks=12, run_schemes=("gps_only",))
+    calls = {"effective_channel": 0, "build_precoder": 0}
+    for name in calls:
+        original = getattr(campaign, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(campaign, name, counted)
+    rows = campaign._run_trial(cfg, 0, range(5, 10))
+    assert [r.block for r in rows] == [5, 6, 7, 8, 9]
+    assert calls == {"effective_channel": 5, "build_precoder": 5}
+
+
+def test_only_pilot_schemes_build_pilot_streams(monkeypatch):
+    keys = []
+    real_stream = campaign.stream
+
+    def recorded(seed, *key):
+        keys.append(key)
+        return real_stream(seed, *key)
+
+    monkeypatch.setattr(campaign, "stream", recorded)
+    cfg = ScenarioConfig(run_trials=1, run_blocks=3, run_schemes=("gps_only", "codebook_max"))
+    run_campaign(cfg)
+    pilot_keys = [key for key in keys if key[1:2] == (campaign._PILOT,)]
+    assert pilot_keys == [(0, campaign._PILOT, k) for k in range(3)] * len(cfg.link_snr_db)
 
 
 def test_summarize_per_block_and_campaign_rows():

@@ -88,7 +88,7 @@ def test_cli_flag_beats_env(tmp_path, monkeypatch):
 
 
 def test_trial_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
-    def fail_trial_1(cfg, trial):
+    def fail_trial_1(cfg, trial, blocks):
         if trial == 1:
             raise ConfigError("trial 1 failed")
         return []

@@ -50,7 +50,9 @@ def test_figure_script_writes_its_tables(tmp_path, script, figures):
 
 def test_reference_campaigns_are_valid_configs():
     campaigns = _load(ROOT / "scripts" / "reference_runs.py").campaigns()
-    assert list(campaigns) == ["golden", "criterion7", "estimation_sweep", "phase_bits"]
+    assert list(campaigns) == [
+        "golden", "criterion7", "criterion7_single", "estimation_sweep", "phase_bits"
+    ]
     assert all(isinstance(cfg, ScenarioConfig) for cfg in campaigns.values())
     # the golden campaign is the one the golden-trace test replays
     assert campaigns["golden"] == _load(ROOT / "tests" / "test_golden_trace.py").CFG
