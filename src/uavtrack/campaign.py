@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -25,7 +26,13 @@ from .blas import one_blas_thread
 from .channel import effective_channel
 from .config import ANALOG_SCHEMES, SCHEMES, ConfigError, ScenarioConfig
 from .geometry import Position3, SpatialAngles, arrival_angles, departure_angle
-from .metrics import normalized_gain, predicted_gain_from_mae, realized_gain, spectral_efficiency
+from .metrics import (
+    beam_gain,
+    main_lobe_limit,
+    normalized_gain,
+    realized_gain,
+    spectral_efficiency,
+)
 from .mobility import sample_initial, step
 from .sensors import derive_velocity, egi_measure, ground_gps_measure
 from .tracking import (
@@ -340,58 +347,47 @@ def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
 # aggregation ---------------------------------------------------------------
 
 
-def _agg(rows: list[TraceRow], cfg: ScenarioConfig, scheme, snr_db, phase_bits, block) -> dict:
-    arr = cfg.arrays()
-    budget = cfg.budget(snr_db)
-    du = np.array([r.est_u - r.true_u for r in rows])
-    dv = np.array([r.est_v - r.true_v for r in rows])
-    pos2 = np.array([(r.est_x - r.true_x) ** 2 + (r.est_y - r.true_y) ** 2 for r in rows])
-    mae_u = float(np.mean(np.abs(du)))
-    mae_v = float(np.mean(np.abs(dv)))
-    mae = 0.5 * (mae_u + mae_v)
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "scheme": scheme,
-        "snr_db": snr_db,
-        "phase_bits": phase_bits,
-        "block": block,
-        "n": len(rows),
-        "mse_u": float(np.mean(du**2)),
-        "mse_v": float(np.mean(dv**2)),
-        "mse_angle": float(0.5 * (np.mean(du**2) + np.mean(dv**2))),
-        "mae_u": mae_u,
-        "mae_v": mae_v,
-        "mae_angle": mae,
-        "rmse_pos_m": float(np.sqrt(np.mean(pos2))),
-        "mean_gain": float(np.mean([r.gain for r in rows])),
-        "mean_norm_gain": float(np.mean([r.norm_gain for r in rows])),
-        "mean_se": float(np.mean([r.se_bits for r in rows])),
-        "mean_iterations": float(np.mean([r.iterations for r in rows])),
-        "mean_measurements": float(np.mean([r.measurements for r in rows])),
-    }
-    try:
-        gain = predicted_gain_from_mae(mae, arr)
-        out["pred_gain_at_mae"] = gain
-        out["pred_se_at_mae"] = spectral_efficiency(gain, budget)
-    except ValueError:
-        out["pred_gain_at_mae"] = ""
-        out["pred_se_at_mae"] = ""
-    return out
-
-
 def summarize(rows, cfg: ScenarioConfig) -> list[dict]:
-    """Per-block rows for every group, plus campaign rows under block -1."""
-    groups: dict[tuple, list[TraceRow]] = {}
-    for r in rows:
-        groups.setdefault((r.scheme, r.snr_db, r.phase_bits), []).append(r)
+    """Per-block rows for every group, plus campaign rows under block -1.
+
+    One grouped reduction: each output row averages a list of trace rows,
+    and the lists of one length are stacked and averaged along their
+    contiguous last axis. Numpy sums each such row pairwise, as np.mean
+    sums the list alone, so every mean keeps its bytes.
+    """
+    blocks: dict[tuple, dict[int, list[int]]] = {}
+    per_row = []  # |du| |dv| du^2 dv^2 pos^2 gain norm_gain se_bits iterations measurements
+    for i, r in enumerate(rows):
+        blocks.setdefault((r.scheme, r.snr_db, r.phase_bits), {}).setdefault(r.block, []).append(i)
+        du, dv = r.est_u - r.true_u, r.est_v - r.true_v
+        pos2 = (r.est_x - r.true_x) ** 2 + (r.est_y - r.true_y) ** 2
+        per_row.append((abs(du), abs(dv), du * du, dv * dv, pos2, r.gain, r.norm_gain, r.se_bits,
+                        r.iterations, r.measurements))
+    groups = []  # (scheme, snr_db, phase_bits, block) and its trace-row indices, per output row
+    for key, by_block in blocks.items():
+        groups += [((*key, block), by_block[block]) for block in sorted(by_block)]
+        groups.append(((*key, -1), sorted(itertools.chain(*by_block.values()))))
+    q = np.array(per_row, dtype=float).T
+    means = np.empty((10, len(groups)))
+    by_length: dict[int, list[int]] = {}
+    for j, (_, idx) in enumerate(groups):
+        by_length.setdefault(len(idx), []).append(j)
+    for js in by_length.values():
+        means[:, js] = np.take(q, [groups[j][1] for j in js], axis=1).mean(axis=-1)
+    mae = 0.5 * (means[0] + means[1])
+    arr = cfg.arrays()
+    inside = np.flatnonzero(~(mae > main_lobe_limit(arr)))  # a NaN MAE is not past it
+    pred = dict(zip(inside.tolist(), beam_gain(mae[inside], mae[inside], arr).tolist()))
+    budgets = {snr_db: cfg.budget(snr_db) for _, snr_db, _ in blocks}
+    # mse_u, mse_v, mse_angle, mae_u, mae_v, mae_angle, rmse_pos_m, then the plain means
+    cols = [means[2:4], 0.5 * (means[2] + means[3]), means[:2], mae, np.sqrt(means[4]), means[5:]]
+    names = [c for c in SUMMARY_HEADER if not c.startswith("pred_")]
     out = []
-    for (scheme, snr_db, phase_bits), grp in groups.items():
-        by_block: dict[int, list[TraceRow]] = {}
-        for r in grp:
-            by_block.setdefault(r.block, []).append(r)
-        for block in sorted(by_block):
-            out.append(_agg(by_block[block], cfg, scheme, snr_db, phase_bits, block))
-        out.append(_agg(grp, cfg, scheme, snr_db, phase_bits, -1))
+    for j, ((key, idx), values) in enumerate(zip(groups, np.vstack(cols).T.tolist())):
+        gain = pred.get(j, "")
+        se = "" if gain == "" else spectral_efficiency(gain, budgets[key[1]])
+        out.append({**dict(zip(names, [SCHEMA_VERSION, *key, len(idx), *values])),
+                    "pred_gain_at_mae": gain, "pred_se_at_mae": se})
     return out
 
 
@@ -403,16 +399,14 @@ def _fmt(value):
     return f"{value:.12g}" if isinstance(value, float) else value
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Write header and rows to path atomically: a complete file or none."""
+def _write_atomic(path: str, write) -> None:
+    """Call write(f) on a new file beside path, then move it there: a complete file or none."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -420,10 +414,24 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write header and rows to path atomically."""
+    lines = itertools.chain([header], rows)
+    _write_atomic(path, lambda f: csv.writer(f, lineterminator="\n").writerows(lines))
+
+
+# A trace row's line: floats as _fmt writes them ("%.12g" gives its bytes),
+# other fields as csv.writer does; schemes are plain names from config.SCHEMES.
+_TRACE_LINE = ",".join(
+    [str(SCHEMA_VERSION)] + ["%.12g" if f.type == "float" else "%s" for f in fields(TraceRow)]
+) + "\n"
+_TRACE_VALUES = operator.attrgetter(*TRACE_HEADER[1:])
+
+
 def write_trace_csv(path: str, result: CampaignResult) -> None:
-    names = TRACE_HEADER[1:]
-    rows = ([SCHEMA_VERSION] + [_fmt(getattr(r, name)) for name in names] for r in result.rows)
-    write_csv(path, TRACE_HEADER, rows)
+    header = ",".join(TRACE_HEADER) + "\n"
+    lines = (_TRACE_LINE % _TRACE_VALUES(r) for r in result.rows)
+    _write_atomic(path, lambda f: f.writelines(itertools.chain([header], lines)))
 
 
 def write_summary_csv(path: str, summary_rows: list[dict]) -> None:

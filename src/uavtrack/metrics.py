@@ -21,6 +21,7 @@ __all__ = [
     "realized_gain",
     "normalized_gain",
     "spectral_efficiency",
+    "main_lobe_limit",
     "predicted_gain_from_mae",
 ]
 
@@ -68,15 +69,20 @@ def spectral_efficiency(gain: float, budget: LinkBudget) -> float:
     return math.log2(1.0 + budget.es * gain * gain / budget.sigma_n2)
 
 
+def main_lobe_limit(cfg: ArrayConfig) -> float:
+    """First null 2 / n of the wider axis; only a MAE past it (>) gets no prediction."""
+    return 2.0 / max(cfg.nx, cfg.ny)
+
+
 def predicted_gain_from_mae(mae: float, cfg: ArrayConfig) -> float:
     """Closed-form gain at equal per-axis offsets set to the MAE.
 
-    Only meaningful inside the main lobe; offsets beyond the first null
-    2 / n are rejected rather than extrapolated.
+    Only meaningful inside the main lobe; offsets past main_lobe_limit are
+    rejected rather than extrapolated.
     """
     if mae < 0.0:
         raise ValueError("mae must be nonnegative")
-    lim = 2.0 / max(cfg.nx, cfg.ny)
+    lim = main_lobe_limit(cfg)
     if mae > lim:
         raise ValueError(f"mae {mae:.4f} is outside the main lobe (limit {lim:.4f})")
     return beam_gain(mae, mae, cfg)

@@ -1,8 +1,12 @@
+import csv
+import dataclasses
+import io
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavtrack import campaign
 from uavtrack.campaign import (
@@ -23,7 +27,7 @@ from uavtrack.campaign import (
     write_trace_csv,
 )
 from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
-from uavtrack.metrics import predicted_gain_from_mae, spectral_efficiency
+from uavtrack.metrics import main_lobe_limit, predicted_gain_from_mae, spectral_efficiency
 
 
 def _small_cfg(**kw):
@@ -340,6 +344,164 @@ def test_summarize_blank_prediction_outside_main_lobe():
     camp = [o for o in out if o["block"] == -1][0]
     assert camp["pred_gain_at_mae"] == ""
     assert camp["pred_se_at_mae"] == ""
+
+
+def _at_offsets(row, du, dv):
+    """row with true (u, v) = (0, 0), so that the errors are exactly (du, dv)."""
+    return dataclasses.replace(row, true_u=0.0, true_v=0.0, est_u=du, est_v=dv)
+
+
+def test_summarize_predicts_at_main_lobe_limit():
+    cfg = ScenarioConfig()
+    lim = main_lobe_limit(cfg.arrays())
+    rows = [_at_offsets(_mk_row(0, 0, 0.0), lim, -lim), _at_offsets(_mk_row(1, 0, 0.0), -lim, lim)]
+    camp = summarize(rows, cfg)[-1]
+    assert camp["mae_angle"] == lim
+    assert camp["pred_gain_at_mae"] == predicted_gain_from_mae(lim, cfg.arrays())
+    assert camp["pred_se_at_mae"] == spectral_efficiency(camp["pred_gain_at_mae"], cfg.budget(20.0))
+
+
+def test_summarize_nan_mae_predicts_nan():
+    rows = [_mk_row(0, 0, math.nan), _mk_row(1, 0, 0.01)]
+    for out in summarize(rows, ScenarioConfig()):
+        assert math.isnan(out["mae_angle"])
+        assert math.isnan(out["pred_gain_at_mae"])
+        assert math.isnan(out["pred_se_at_mae"])
+
+
+# The summary as it was built group by group before the grouped reduction,
+# kept verbatim as the oracle that summarize must match byte for byte.
+def _agg(rows: list[TraceRow], cfg: ScenarioConfig, scheme, snr_db, phase_bits, block) -> dict:
+    arr = cfg.arrays()
+    budget = cfg.budget(snr_db)
+    du = np.array([r.est_u - r.true_u for r in rows])
+    dv = np.array([r.est_v - r.true_v for r in rows])
+    pos2 = np.array([(r.est_x - r.true_x) ** 2 + (r.est_y - r.true_y) ** 2 for r in rows])
+    mae_u = float(np.mean(np.abs(du)))
+    mae_v = float(np.mean(np.abs(dv)))
+    mae = 0.5 * (mae_u + mae_v)
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "scheme": scheme,
+        "snr_db": snr_db,
+        "phase_bits": phase_bits,
+        "block": block,
+        "n": len(rows),
+        "mse_u": float(np.mean(du**2)),
+        "mse_v": float(np.mean(dv**2)),
+        "mse_angle": float(0.5 * (np.mean(du**2) + np.mean(dv**2))),
+        "mae_u": mae_u,
+        "mae_v": mae_v,
+        "mae_angle": mae,
+        "rmse_pos_m": float(np.sqrt(np.mean(pos2))),
+        "mean_gain": float(np.mean([r.gain for r in rows])),
+        "mean_norm_gain": float(np.mean([r.norm_gain for r in rows])),
+        "mean_se": float(np.mean([r.se_bits for r in rows])),
+        "mean_iterations": float(np.mean([r.iterations for r in rows])),
+        "mean_measurements": float(np.mean([r.measurements for r in rows])),
+    }
+    try:
+        gain = predicted_gain_from_mae(mae, arr)
+        out["pred_gain_at_mae"] = gain
+        out["pred_se_at_mae"] = spectral_efficiency(gain, budget)
+    except ValueError:
+        out["pred_gain_at_mae"] = ""
+        out["pred_se_at_mae"] = ""
+    return out
+
+
+def _summarize_oracle(rows, cfg: ScenarioConfig) -> list[dict]:
+    """Per-block rows for every group, plus campaign rows under block -1."""
+    groups: dict[tuple, list[TraceRow]] = {}
+    for r in rows:
+        groups.setdefault((r.scheme, r.snr_db, r.phase_bits), []).append(r)
+    out = []
+    for (scheme, snr_db, phase_bits), grp in groups.items():
+        by_block: dict[int, list[TraceRow]] = {}
+        for r in grp:
+            by_block.setdefault(r.block, []).append(r)
+        for block in sorted(by_block):
+            out.append(_agg(by_block[block], cfg, scheme, snr_db, phase_bits, block))
+        out.append(_agg(grp, cfg, scheme, snr_db, phase_bits, -1))
+    return out
+
+
+_LIM = main_lobe_limit(ScenarioConfig().arrays())
+_FINITE = st.floats(-1.0, 1.0)
+_ESTIMATE = st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+# per group: errors of random size, all exactly at the lobe limit, or all just past it
+_AT_LIMIT = st.sampled_from([_LIM, -_LIM])
+_PAST_LIMIT = st.sampled_from([math.nextafter(_LIM, 1.0), -0.3])
+
+
+@st.composite
+def _trace_rows(draw):
+    keys = draw(st.lists(
+        st.tuples(
+            st.sampled_from(SCHEMES), st.sampled_from([0.0, 10.0, 30.0]), st.sampled_from([4, 6])
+        ),
+        min_size=1, max_size=3, unique=True,
+    ))
+    rows = []
+    for scheme, snr, bits in keys:
+        errors = draw(st.sampled_from([None, _AT_LIMIT, _PAST_LIMIT]))
+        for block in draw(st.lists(st.integers(0, 4), min_size=1, max_size=40)):
+            if errors is None:
+                true_u, true_v = draw(_FINITE), draw(_FINITE)
+                est_u, est_v = draw(_ESTIMATE), draw(_ESTIMATE)
+            else:
+                true_u, true_v, est_u, est_v = 0.0, 0.0, draw(errors), draw(errors)
+            rows.append(TraceRow(
+                trial=len(rows), block=block, scheme=scheme, snr_db=snr, phase_bits=bits,
+                true_x=draw(st.floats(-500.0, 500.0)), true_y=draw(st.floats(-500.0, 500.0)),
+                true_u=true_u, true_v=true_v, true_ua=0.3, est_u=est_u, est_v=est_v,
+                est_x=draw(st.one_of(st.floats(-500.0, 500.0), st.just(math.inf))),
+                est_y=draw(st.floats(-500.0, 500.0)),
+                gain=draw(st.floats(0.0, 25.0)), norm_gain=draw(st.floats(0.0, 1.0)),
+                se_bits=draw(st.floats(0.0, 12.0)), iterations=draw(st.integers(0, 50)),
+                measurements=draw(st.integers(0, 400)),
+            ))
+    # interleave the groups and send blocks out of order
+    return draw(st.permutations(rows))
+
+
+def _same(got, want) -> bool:
+    if type(got) is not type(want):
+        return False
+    return got == want or (isinstance(got, float) and math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=300)
+@given(_trace_rows())
+def test_summarize_equals_group_by_group_oracle(rows):
+    cfg = ScenarioConfig()
+    got, want = summarize(rows, cfg), _summarize_oracle(rows, cfg)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        bad = {k: (g[k], w[k]) for k in w if not _same(g[k], w[k])}
+        assert not bad, (g["scheme"], g["snr_db"], g["phase_bits"], g["block"], bad)
+
+
+def test_summarize_of_no_rows_is_empty():
+    assert summarize([], ScenarioConfig()) == []
+
+
+def test_trace_csv_bytes_equal_fmt_and_csv_writer(tmp_path):
+    odd = [-0.0, 1e-300, math.nan, math.inf, -math.inf, 0.12345678901234568]
+    base = _mk_row(0, 0, 0.01)
+    rows = [
+        dataclasses.replace(base, trial=i, true_x=x, est_u=x, gain=x, se_bits=-x, snr_db=x)
+        for i, x in enumerate(odd)
+    ]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), CampaignResult(config=ScenarioConfig(), rows=tuple(rows)))
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(TRACE_HEADER)
+    for r in rows:
+        w.writerow([SCHEMA_VERSION] + [campaign._fmt(getattr(r, n)) for n in TRACE_HEADER[1:]])
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_trace_csv_format(tmp_path):

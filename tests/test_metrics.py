@@ -9,6 +9,7 @@ from uavtrack.geometry import SpatialAngles
 from uavtrack.metrics import (
     axis_gain_ratio,
     beam_gain,
+    main_lobe_limit,
     normalized_gain,
     predicted_gain_from_mae,
     realized_gain,
@@ -89,6 +90,25 @@ def test_predicted_gain_from_mae():
         predicted_gain_from_mae(0.26, CFG)
     with pytest.raises(ValueError):
         predicted_gain_from_mae(-0.01, CFG)
+
+
+def test_main_lobe_limit_is_first_null_of_wider_axis():
+    assert main_lobe_limit(CFG) == 0.25
+    assert main_lobe_limit(ArrayConfig(nx=4, ny=16, nu=1)) == 0.125
+
+
+def test_predicted_gain_at_main_lobe_limit():
+    lim = main_lobe_limit(CFG)
+    assert predicted_gain_from_mae(lim, CFG) == beam_gain(lim, lim, CFG)
+
+
+def test_predicted_gain_past_main_lobe_limit_raises():
+    with pytest.raises(ValueError, match="outside the main lobe"):
+        predicted_gain_from_mae(math.nextafter(main_lobe_limit(CFG), 1.0), CFG)
+
+
+def test_predicted_gain_of_nan_mae_is_nan():
+    assert math.isnan(predicted_gain_from_mae(math.nan, CFG))
 
 
 def test_predicted_matches_realized_at_equal_offsets():
