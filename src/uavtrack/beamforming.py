@@ -42,16 +42,12 @@ def precoder_from_angle(u_a: float, nu: int) -> np.ndarray:
 def build_precoder(egi: SensorReading, gs_pos: Position3, cfg: ArrayConfig) -> np.ndarray:
     """Steer the UAV array from a navigation-unit reading.
 
-    The ground station coordinates are rebased to the measured UAV
-    position, and the measured heading gives the body axis.
+    The departure cosine is taken from the measured UAV position, and the
+    measured heading gives the body axis.
     """
     if egi.heading is None:
         raise ValueError("precoder needs a reading that carries heading")
-    g_u = Position3(
-        gs_pos.x - egi.position.x, gs_pos.y - egi.position.y, gs_pos.h - egi.position.h
-    )
-    u_a_hat = departure_angle(g_u, egi.heading)
-    return precoder_from_angle(u_a_hat, cfg.nu)
+    return precoder_from_angle(departure_angle(egi.position, gs_pos, egi.heading), cfg.nu)
 
 
 def quantize_phases(w: np.ndarray, phase_bits: int) -> np.ndarray:

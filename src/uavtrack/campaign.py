@@ -15,7 +15,6 @@ import csv
 import itertools
 import operator
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -145,19 +144,28 @@ def simulate_truth(cfg: ScenarioConfig, trial: int):
 
 
 def simulate_readings(cfg: ScenarioConfig, trial: int, states):
-    """Sensor readings on their schedules, shared by all schemes."""
+    """What the sensors have reported by each block, shared by all schemes:
+    (GPS fix or None, velocity, latest navigation-unit reading) per block.
+
+    The velocity is differenced from the two latest fixes, (0, 0) before
+    the second fix.
+    """
     sched = cfg.schedule()
     noise = cfg.sensors()
     gps_rng = stream(cfg.run_seed, trial, _GPS)
     egi_rng = stream(cfg.run_seed, trial, _EGI)
-    gps = {}
-    egi = {}
+    timeline = []
+    last_fix, velocity, egi = None, (0.0, 0.0), None
     for k, state in enumerate(states):
-        if sched.gps_due(k):
-            gps[k] = ground_gps_measure(state, noise, gps_rng)
+        fix = ground_gps_measure(state, noise, gps_rng) if sched.gps_due(k) else None
+        if fix is not None:
+            if last_fix is not None:
+                velocity = derive_velocity(last_fix, fix, sched.t_gps)
+            last_fix = fix
         if sched.ins_due(k):
-            egi[k] = egi_measure(state, noise, egi_rng)
-    return gps, egi
+            egi = egi_measure(state, noise, egi_rng)
+        timeline.append((fix, velocity, egi))
+    return timeline
 
 
 def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, pilot_key) -> RefineResult:
@@ -180,46 +188,31 @@ def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, pilot_key)
 def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]:
     """Every row of one trial's blocks, in (SNR, phase bits, scheme, block) order.
 
-    The world is built once: the trajectory, the fading and the sensor
-    readings, and per block the GPS fix, the velocity differenced from the
-    two latest fixes, the precoder from the latest navigation-unit reading,
-    the effective channel and the true angles. No scheme can change any of
-    these, so each scheme run carries only its own position estimate.
+    The world is built once: the trajectory, the fading, the sensor
+    timeline, and per block the precoder from the latest navigation-unit
+    reading, the effective channel and the true angles. No scheme can
+    change any of these, so each scheme run carries only its own position
+    estimate.
 
     The truth and sensor streams are sequential, so they are drawn for the
-    whole trial, and the velocity and the latest reading advance through
-    the blocks before `blocks`; the channel, the precoder and the schemes
-    run on `blocks` alone. Its first block must carry a GPS fix, which
-    predict_position takes as is: no estimate carries into a span.
+    whole trial; the channel, the precoder and the schemes run on `blocks`
+    alone. Its first block must carry a GPS fix, which predict_position
+    takes as is: no estimate carries into a span.
     """
     arr = cfg.arrays()
-    sched = cfg.schedule()
     gs_pos = Position3(cfg.scenario_gs_x, cfg.scenario_gs_y, cfg.scenario_gs_height)
     delta_h = cfg.scenario_uav_height - cfg.scenario_gs_height
 
     states, mus = simulate_truth(cfg, trial)
-    gps_readings, egi_readings = simulate_readings(cfg, trial, states)
+    timeline = simulate_readings(cfg, trial, states)
     world = []
-    velocity, last_fix, last_egi = (0.0, 0.0), None, None
-    for k, state in enumerate(states[: blocks.stop]):
-        gps = gps_readings.get(k)
-        if gps is not None:
-            if last_fix is not None:
-                velocity = derive_velocity(last_fix, gps, sched.t_gps)
-            last_fix = gps
-        last_egi = egi_readings.get(k, last_egi)
-        if k < blocks.start:
-            continue
-        arrival = arrival_angles(state.position, gs_pos)
-        g_u = Position3(
-            gs_pos.x - state.position.x,
-            gs_pos.y - state.position.y,
-            gs_pos.h - state.position.h,
-        )
-        truth = SpatialAngles(arrival.u, arrival.v, departure_angle(g_u, state.heading))
-        precoder = build_precoder(last_egi, gs_pos, arr)
-        heff = effective_channel(truth, precoder, complex(mus[k]), arr)
-        world.append((k, state.position, gps, velocity, truth, heff))
+    for k in blocks:
+        position, heading = states[k].position, states[k].heading
+        gps, velocity, egi = timeline[k]
+        arrival = arrival_angles(position, gs_pos)
+        truth = SpatialAngles(arrival.u, arrival.v, departure_angle(position, gs_pos, heading))
+        heff = effective_channel(truth, build_precoder(egi, gs_pos, arr), complex(mus[k]), arr)
+        world.append((k, position, gps, velocity, truth, heff))
 
     rows = []
     for snr_db in cfg.link_snr_db:
@@ -230,7 +223,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]
                 quantize_data = phase_bits if scheme in ANALOG_SCHEMES else None
                 estimate = None  # the span's first block has a fix
                 for k, position, gps, velocity, truth, heff in world:
-                    prior = predict_position(estimate, velocity, gps, sched.t_block)
+                    prior = predict_position(estimate, velocity, gps, cfg.schedule_t_block)
                     seed = arrival_angles(prior, gs_pos)
                     pilot_key = (cfg.run_seed, trial, _PILOT, k)
                     res = _refine(scheme, heff, seed, arr, budget, est, pilot_key)
@@ -400,10 +393,14 @@ def _fmt(value):
 
 
 def _write_atomic(path: str, write) -> None:
-    """Call write(f) on a new file beside path, then move it there: a complete file or none."""
+    """Call write(f) on a new file beside path, then move it there: a complete file or none.
+
+    The new file gets the mode open(path, "w") would create (0o666 less the umask).
+    """
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as f:
             write(f)
@@ -498,18 +495,17 @@ FIGURES = {
 def emit_figure_tables(summary_rows: list[dict], figure: str) -> tuple[list[str], list[list]]:
     """Tidy per-figure table from a summary, cut as FIGURES says; errors
     name the figure and any missing axis."""
-    name = figure.lower()
-    if name not in FIGURES:
+    if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; expected fig5..fig9")
-    fig = FIGURES[name]
+    fig = FIGURES[figure]
     rows = [
         r for r in summary_rows
         if (r["block"] >= 0) == fig.per_block and (fig.family is None or r["scheme"] in fig.family)
     ]
     if fig.family is not None and not rows:
-        raise ConfigError(f"{name} needs schemes from {fig.family} in the summary")
+        raise ConfigError(f"{figure} needs schemes from {fig.family} in the summary")
     if len({r[fig.axis] for r in rows}) < 2:
-        raise ConfigError(f"{name} {fig.missing}")
+        raise ConfigError(f"{figure} {fig.missing}")
     rows.sort(key=lambda r: tuple(r[c] for c in fig.keys))
     header = list(fig.keys + fig.values)
     return header, [[_fmt(r[c]) for c in header] for r in rows]

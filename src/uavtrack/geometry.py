@@ -120,19 +120,19 @@ def arrival_angles(uav_pos: Position3, gs_pos: Position3) -> SpatialAngles:
     return SpatialAngles(u=dx / r, v=dy / r)
 
 
-def departure_angle(gs_pos_u: Position3, heading: float) -> float:
+def departure_angle(uav_pos: Position3, gs_pos: Position3, heading: float) -> float:
     """Departure cosine u_a of the ground station from the UAV body array.
 
     The UAV flies level with its body x-axis along its course, so the
     body frame is the u-frame rotated by the heading angle. The azimuth of
-    the ground station is taken as the two-quadrant arctangent of the
-    horizontal u-frame coordinates; for a body-axis linear array only the
+    the ground station is the two-quadrant arctangent of its horizontal
+    offset gs_pos - uav_pos; for a body-axis linear array only the
     azimuth offset is observable.
 
     Parameters
     ----------
-    gs_pos_u : Position3
-        Ground station position expressed in the u-frame.
+    uav_pos, gs_pos : Position3
+        Both in the n-frame.
     heading : float
         Course angle of the velocity vector, radians.
 
@@ -141,7 +141,7 @@ def departure_angle(gs_pos_u: Position3, heading: float) -> float:
     float
         u_a = cos(azimuth + heading), in [-1, 1].
     """
-    gx, gy = gs_pos_u.x, gs_pos_u.y
+    gx, gy = gs_pos.x - uav_pos.x, gs_pos.y - uav_pos.y
     if gx == 0.0 and gy == 0.0:
         raise ValueError("ground station projects onto the a-frame origin")
     if gx < 0.0:

@@ -55,8 +55,9 @@ def realized_gain(weights: np.ndarray, heff: np.ndarray) -> float:
     return float(np.abs(weights.conj() @ heff))
 
 
-def normalized_gain(gain: float, cfg: ArrayConfig) -> float:
-    """Gain relative to the coherent maximum sqrt(nu * nx * ny)."""
+def normalized_gain(gain, cfg: ArrayConfig):
+    """Gain, a float or an array of them, relative to the coherent maximum
+    sqrt(nu * nx * ny)."""
     return gain / math.sqrt(cfg.nu * cfg.nx * cfg.ny)
 
 

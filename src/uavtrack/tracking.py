@@ -24,6 +24,7 @@ from .beamforming import CandidateSet, candidate_set, grid_weights, steer_weight
 from .channel import ArrayConfig, LinkBudget, measure_beams
 from .geometry import Position3, SpatialAngles, position_from_angles
 from .gpr import fit_hyperparams, make_model, posterior, posterior_mean_gradient
+from .metrics import normalized_gain
 from .sensors import SensorReading
 
 __all__ = [
@@ -122,22 +123,23 @@ def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> 
 def _sounder(
     heff: np.ndarray, cfg: ArrayConfig, budget: LinkBudget, rng: np.random.Generator
 ):
-    """Beam magnitudes over the coherent array factor sqrt(nu * nx * ny)."""
-    norm = math.sqrt(cfg.nu * cfg.nx * cfg.ny)
-    return lambda weights: measure_beams(heff, weights, budget, rng) / norm
+    """Beam magnitudes over the coherent array factor (metrics.normalized_gain)."""
+    return lambda weights: normalized_gain(measure_beams(heff, weights, budget, rng), cfg)
 
 
-def _initial_surface(
-    sound, cands: CandidateSet, cfg: ArrayConfig, est: EstimatorConfig, quantized: bool
-):
-    """Sound every candidate beam and fit the surrogate to the sweep.
+def _sweep(sound, cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None):
+    """Sound every candidate beam: the magnitudes, and the loudest grid point
+    pulled inside the unit disk (grid corners can stick past it for
+    near-horizon seeds, and infeasible cosines would break position fusion)."""
+    y = sound(grid_weights(cands, cfg, phase_bits))
+    return y, _clip_unit_disk(cands.points[int(np.argmax(y))])
 
-    Returns the model and the grid point with the largest magnitude,
-    pulled inside the unit disk."""
-    y = sound(grid_weights(cands, cfg, est.phase_bits if quantized else None))
-    x = cands.points
-    fit = fit_hyperparams(x, y, max_iter=FIT_MAX_ITER)
-    return make_model(x, y, fit.hyperparams), _clip_unit_disk(x[int(np.argmax(y))])
+
+def _initial_surface(sound, cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None):
+    """The surrogate fitted to a grid sweep, and the sweep's loudest point."""
+    y, x0 = _sweep(sound, cands, cfg, phase_bits)
+    fit = fit_hyperparams(cands.points, y, max_iter=FIT_MAX_ITER)
+    return make_model(cands.points, y, fit.hyperparams), x0
 
 
 def _ascend(x0: np.ndarray, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, probe):
@@ -187,7 +189,7 @@ def refine_hybrid(
     if cands is None:
         return baseline_gps_only(seed)
     sound = _sounder(heff, cfg, budget, rng)
-    model, x0 = _initial_surface(sound, cands, cfg, est, quantized=False)
+    model, x0 = _initial_surface(sound, cands, cfg, None)
 
     def probe(x):
         nonlocal model
@@ -220,7 +222,7 @@ def refine_analog(
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return baseline_gps_only(seed)
-    model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, cfg, est, quantized=True)
+    model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, cfg, est.phase_bits)
 
     def probe(x):
         return float(posterior(model, x)[0][0]), posterior_mean_gradient(model, x)
@@ -282,7 +284,5 @@ def baseline_codebook(
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return baseline_gps_only(seed)
-    y = _sounder(heff, cfg, budget, rng)(grid_weights(cands, cfg, est.phase_bits))
-    # grid corners can stick past the unit disk for near-horizon seeds;
-    # infeasible direction cosines would break position fusion downstream
-    return _result(_clip_unit_disk(cands.points[int(np.argmax(y))]), 0, cands.size)
+    _, x = _sweep(_sounder(heff, cfg, budget, rng), cands, cfg, est.phase_bits)
+    return _result(x, 0, cands.size)

@@ -42,7 +42,7 @@ def test_build_precoder_exact_reading():
     p = build_precoder(egi, gs, CFG)
     from uavtrack.geometry import departure_angle
 
-    true_ua = departure_angle(Position3(gs.x - uav.x, gs.y - uav.y, gs.h - uav.h), 0.25)
+    true_ua = departure_angle(uav, gs, 0.25)
     h = effective_channel(SpatialAngles(0.1, 0.1, u_a=true_ua), p, 1.0, CFG)
     # ||h|| = |alignment| * sqrt(nx * ny) with |mu| = 1
     assert abs(np.linalg.norm(h) / 8.0 - math.sqrt(8)) < 1e-12

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from uavtrack.campaign import (
 )
 from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
 from uavtrack.metrics import main_lobe_limit, predicted_gain_from_mae, spectral_efficiency
+from uavtrack.sensors import derive_velocity, ground_gps_measure
 
 
 def _small_cfg(**kw):
@@ -146,7 +148,8 @@ def test_gps_only_block_after_a_fix_pair_is_dead_reckoned():
     # fixes arrive at blocks 0 and 5; block 6 has none, so its estimate is
     # the block-5 fix advanced by one block of the velocity between them
     cfg = ScenarioConfig(run_trials=1, run_blocks=7, run_schemes=("gps_only",))
-    gps, _ = simulate_readings(cfg, 0, simulate_truth(cfg, 0)[0])
+    timeline = simulate_readings(cfg, 0, simulate_truth(cfg, 0)[0])
+    gps = {k: fix for k, (fix, _, _) in enumerate(timeline) if fix is not None}
     assert sorted(gps) == [0, 5]
     first, last = gps[0].position, gps[5].position
     t_gps, t_block = cfg.schedule_t_gps, cfg.schedule_t_block
@@ -156,6 +159,26 @@ def test_gps_only_block_after_a_fix_pair_is_dead_reckoned():
     assert row.block == 6
     assert abs(row.est_x - want_x) < 1e-9
     assert abs(row.est_y - want_y) < 1e-9
+
+
+def test_readings_timeline_per_block():
+    # fixes every 5 blocks and navigation readings every 2; with no
+    # navigation noise a reading is the state of the block that drew it
+    cfg = ScenarioConfig(run_trials=1, run_blocks=12, sensors_sigma_heading_deg=0.0)
+    states = simulate_truth(cfg, 0)[0]
+    timeline = simulate_readings(cfg, 0, states)
+    assert len(timeline) == 12
+    gps_rng = stream(cfg.run_seed, 0, campaign._GPS)
+    fixes = {k: ground_gps_measure(states[k], cfg.sensors(), gps_rng) for k in (0, 5, 10)}
+    for k, (fix, velocity, egi) in enumerate(timeline):
+        assert fix == fixes.get(k)
+        if k < 5:
+            assert velocity == (0.0, 0.0)
+        else:
+            prev, cur = (0, 5) if k < 10 else (5, 10)
+            assert velocity == derive_velocity(fixes[prev], fixes[cur], cfg.schedule_t_gps)
+        due = states[k - k % 2]
+        assert egi.position == due.position and egi.heading == due.heading
 
 
 def _force_workers(monkeypatch, n):
@@ -578,6 +601,19 @@ def test_atomic_write_cleans_up_on_failure(tmp_path):
         write_csv(str(target), ["col"], bad_rows())
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])  # the usual default, and a group-only one
+def test_written_csv_has_the_mode_open_creates(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        write_csv(str(tmp_path / "out.csv"), ["col"], [["1"]])
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(saved)
+    mode = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("out.csv", "plain.csv")]
+    assert mode[0] == mode[1]
 
 
 def _sweep_summary():

@@ -223,6 +223,17 @@ def test_tables_missing_sweep_exit_2(tmp_path, capsys):
     assert "phase_bits sweep" in capsys.readouterr().err
 
 
+def test_tables_figure_name_from_env_is_exact(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.setenv("UAVTRACK_FIGURE", "FIG5")
+    code = main(["tables", "--summary", str(out / "summary.csv")])
+    assert code == 2
+    assert "unknown figure 'FIG5'" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "trace.csv"]
+
+
 def test_tables_unparsable_cell_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from uavtrack.geometry import (
     Attitude,
@@ -14,6 +14,7 @@ from uavtrack.geometry import (
 )
 
 GS = Position3(0.0, 0.0, 25.0)
+UAV = Position3(0.0, 0.0, 200.0)  # gs - UAV is the station's offset (x, y, -175)
 
 
 def test_rotation_identity_at_zero():
@@ -94,26 +95,53 @@ def test_roundtrip_property(u, v):
 
 
 def test_departure_forward_unity():
-    assert abs(departure_angle(Position3(50.0, 0.0, -175.0), 0.0) - 1.0) < 1e-12
+    assert abs(departure_angle(UAV, Position3(50.0, 0.0, 25.0), 0.0) - 1.0) < 1e-12
 
 
 def test_departure_broadside_zero():
-    assert abs(departure_angle(Position3(0.0, 50.0, -175.0), 0.0)) < 1e-12
+    assert abs(departure_angle(UAV, Position3(0.0, 50.0, 25.0), 0.0)) < 1e-12
 
 
 def test_departure_worked_example():
     # azimuth 30 degrees plus heading 15 degrees -> cos(45 degrees)
-    g = Position3(50.0 * math.cos(math.radians(30)), 50.0 * math.sin(math.radians(30)), -175.0)
-    u_a = departure_angle(g, math.radians(15))
+    g = Position3(50.0 * math.cos(math.radians(30)), 50.0 * math.sin(math.radians(30)), 25.0)
+    u_a = departure_angle(UAV, g, math.radians(15))
     assert abs(u_a - math.cos(math.pi / 4)) < 1e-12
 
 
 def test_departure_degenerate_raises():
     with pytest.raises(ValueError):
-        departure_angle(Position3(0.0, 0.0, -175.0), 0.0)
+        departure_angle(UAV, Position3(0.0, 0.0, 25.0), 0.0)
 
 
 @given(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
 def test_departure_bounded(heading, az):
-    g = Position3(40.0 * math.cos(az), 40.0 * math.sin(az), -175.0)
-    assert abs(departure_angle(g, heading)) <= 1.0
+    g = Position3(40.0 * math.cos(az), 40.0 * math.sin(az), 25.0)
+    assert abs(departure_angle(UAV, g, heading)) <= 1.0
+
+
+def _departure_of_offset(g: Position3, heading: float) -> float:
+    # the formula as it stood when departure_angle took the offset gs - uav
+    gx, gy = g.x, g.y
+    if gx == 0.0 and gy == 0.0:
+        raise ValueError("ground station projects onto the a-frame origin")
+    if gx < 0.0:
+        gx, gy = -gx, -gy
+    return math.cos(math.atan2(gy, gx) + heading)
+
+
+_coord = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@given(_coord, _coord, _coord, _coord, st.floats(-math.pi, math.pi))
+@example(30.0, -40.0, 30.0, -40.0, 0.5)  # the station straight below
+def test_departure_from_positions_equals_offset_formula(ux, uy, gx, gy, heading):
+    uav, gs = Position3(ux, uy, 200.0), Position3(gx, gy, 25.0)
+    offset = Position3(gs.x - uav.x, gs.y - uav.y, gs.h - uav.h)
+    try:
+        want = _departure_of_offset(offset, heading)
+    except ValueError:
+        with pytest.raises(ValueError):
+            departure_angle(uav, gs, heading)
+        return
+    assert departure_angle(uav, gs, heading) == want
