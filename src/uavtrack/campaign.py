@@ -226,7 +226,13 @@ def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]
                     prior = predict_position(estimate, velocity, gps, cfg.schedule_t_block)
                     seed = arrival_angles(prior, gs_pos)
                     pilot_key = (cfg.run_seed, trial, _PILOT, k)
-                    res = _refine(scheme, heff, seed, arr, budget, est, pilot_key)
+                    try:
+                        res = _refine(scheme, heff, seed, arr, budget, est, pilot_key)
+                    except Exception as e:
+                        e.add_note(
+                            f"in scheme {scheme}, snr_db {snr_db}, phase_bits {phase_bits}, block {k}"
+                        )
+                        raise
                     estimate = fuse_position(SpatialAngles(res.u, res.v), gs_pos, delta_h)
                     gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
                     rows.append(
@@ -257,7 +263,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]
 
 def _unit_rows(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]:
     """_run_trial, with the trial, the blocks of a split trial and the seed
-    noted on what it raises."""
+    noted on what it raises, after _run_trial's note of the failing chain."""
     try:
         return _run_trial(cfg, trial, blocks)
     except Exception as e:
@@ -425,15 +431,35 @@ _TRACE_LINE = ",".join(
 _TRACE_VALUES = operator.attrgetter(*TRACE_HEADER[1:])
 
 
+def _write_lines(path: str, header: list[str], lines) -> None:
+    """Write the header row and the formatted lines to path atomically."""
+    head = ",".join(header) + "\n"
+    _write_atomic(path, lambda f: f.writelines(itertools.chain([head], lines)))
+
+
 def write_trace_csv(path: str, result: CampaignResult) -> None:
-    header = ",".join(TRACE_HEADER) + "\n"
-    lines = (_TRACE_LINE % _TRACE_VALUES(r) for r in result.rows)
-    _write_atomic(path, lambda f: f.writelines(itertools.chain([header], lines)))
+    _write_lines(path, TRACE_HEADER, (_TRACE_LINE % _TRACE_VALUES(r) for r in result.rows))
+
+
+# A summary row's line, written as _TRACE_LINE is: floats "%.12g", counts
+# and the scheme "%s". The pred_ cells are blank past the main lobe, so
+# _fmt formats them first.
+_PRED_COLUMNS = [i for i, col in enumerate(SUMMARY_HEADER) if col.startswith("pred_")]
+_SUMMARY_LINE = ",".join(
+    "%s" if col in _SUMMARY_INT_COLUMNS or col == "scheme" or col.startswith("pred_") else "%.12g"
+    for col in SUMMARY_HEADER
+) + "\n"
+
+
+def _summary_line(row: dict) -> str:
+    cells = [row[col] for col in SUMMARY_HEADER]
+    for i in _PRED_COLUMNS:
+        cells[i] = _fmt(cells[i])
+    return _SUMMARY_LINE % tuple(cells)
 
 
 def write_summary_csv(path: str, summary_rows: list[dict]) -> None:
-    rows = ([_fmt(row[col]) for col in SUMMARY_HEADER] for row in summary_rows)
-    write_csv(path, SUMMARY_HEADER, rows)
+    _write_lines(path, SUMMARY_HEADER, map(_summary_line, summary_rows))
 
 
 def read_summary_csv(path: str) -> list[dict]:

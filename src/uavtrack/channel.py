@@ -137,10 +137,10 @@ def measure_beams(
     np.ndarray, shape (n_beams,)
     """
     w = np.atleast_2d(weights)
-    s = np.sqrt(budget.es)
-    signal = w.conj() @ heff * s
-    sig_n = np.sqrt(budget.sigma_n2 / 2.0)
-    norms = np.linalg.norm(w, axis=1)
+    wc = w.conj()
+    signal = wc @ heff * math.sqrt(budget.es)
+    sig_n = math.sqrt(budget.sigma_n2 / 2.0)
+    norms = np.sqrt(np.add.reduce((wc * w).real, axis=1))  # np.linalg.norm(w, axis=1)
     z = rng.standard_normal((w.shape[0], 2))
     noise = sig_n * norms * (z[:, 0] + 1j * z[:, 1])
     return np.abs(signal + noise)

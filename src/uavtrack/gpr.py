@@ -71,13 +71,23 @@ class FitResult:
 
 
 def kernel(xa: np.ndarray, xb: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Squared-exponential covariance matrix between two point sets.
+    """Squared-exponential covariance matrix between two (n, 2) float arrays.
 
     k(x, x') = sigma_s^2 * exp(-0.5 * sum_d ((x_d - x'_d) / ell_d)^2)
     """
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
     d = xa[:, None, :] - xb[None, :, :]
+    d /= hp.lengthscales
+    d *= d
+    q = d.sum(axis=-1)
+    q *= -0.5
+    np.exp(q, out=q)
+    q *= hp.sigma_s**2
+    return q
+
+
+def _kernel_column(x: np.ndarray, point: np.ndarray, hp: Hyperparams) -> np.ndarray:
+    """kernel(x, point[None], hp)[:, 0], in the same operations."""
+    d = x - point
     d /= hp.lengthscales
     d *= d
     q = d.sum(axis=-1)
@@ -421,6 +431,9 @@ class GprModel:
     Treated as a value: with_point returns a new model and never mutates
     the original. jitter records the diagonal inflation actually used so
     that incremental appends stay consistent with a fresh factorization.
+    k_last is the kernel column of the point with_point appended, against
+    every training point (itself last), which posterior_mean_gradient
+    reuses at that point; None on a model from make_model.
     """
 
     x: np.ndarray
@@ -429,6 +442,7 @@ class GprModel:
     chol: np.ndarray
     alpha: np.ndarray
     jitter: float
+    k_last: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -445,8 +459,8 @@ class GprModel:
         x_all = np.concatenate((self.x, x_new))
         y_all = np.append(self.y, y_new)
         _check_finite(x_new, y_all[-1:], first_row=self.n)
-        k_cross = kernel(self.x, x_new, self.hp)[:, 0]
-        t = _solve_lower(self.chol, k_cross)
+        k_last = _kernel_column(x_all, x_new[0], self.hp)  # k(X, x_new), then sigma_s^2
+        t = _solve_lower(self.chol, k_last[:-1])
         d2 = self.hp.sigma_s**2 + self.hp.sigma_n**2 + self.jitter - t @ t
         if d2 <= 0.0:
             return make_model(x_all, y_all, self.hp)
@@ -456,7 +470,9 @@ class GprModel:
         chol[n, :n] = t
         chol[n, n] = math.sqrt(d2)
         alpha = _cho_solve(chol, y_all)
-        return GprModel(x=x_all, y=y_all, hp=self.hp, chol=chol, alpha=alpha, jitter=self.jitter)
+        return GprModel(
+            x=x_all, y=y_all, hp=self.hp, chol=chol, alpha=alpha, jitter=self.jitter, k_last=k_last
+        )
 
 
 def make_model(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GprModel:
@@ -485,8 +501,13 @@ def posterior_mean_gradient(model: GprModel, xstar: np.ndarray) -> np.ndarray:
     """Analytic gradient of the predictive mean at one query point.
 
     d mean / d x*_d = sum_i -(x*_d - x_i_d) / ell_d^2 * k(x*, x_i) * alpha_i
+
+    At the point with_point appended last, its kernel column is reused.
     """
-    xstar = np.asarray(xstar, dtype=float).reshape(1, 2)
-    k_cross = kernel(model.x, xstar, model.hp)[:, 0]
-    diffs = (xstar[0] - model.x) / np.asarray(model.hp.lengthscales) ** 2
+    xstar = np.asarray(xstar, dtype=float).reshape(2)
+    if model.k_last is not None and (xstar == model.x[-1]).all():
+        k_cross = model.k_last
+    else:
+        k_cross = _kernel_column(model.x, xstar, model.hp)
+    diffs = (xstar - model.x) / np.asarray(model.hp.lengthscales) ** 2
     return -(diffs * k_cross[:, None]).T @ model.alpha

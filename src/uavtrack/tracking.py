@@ -16,6 +16,7 @@ on predictions alone.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,29 @@ def _clip_unit_disk(point: np.ndarray) -> np.ndarray:
     return point
 
 
+# Seeded grids and their beam stacks, by exact input. At a GPS-fix block
+# every SNR point and scheme is seeded at the fix and sounds the same beams;
+# elsewhere each chain has its own seed and misses. The _SHARED_SIZE most
+# recently used entries are kept, and their arrays are read-only because
+# chains share them.
+_SHARED: dict = {}
+_SHARED_SIZE = 8
+
+
+def _shared(key: tuple, build):
+    """build(), or what it returned for the same key if that is still kept."""
+    value = _SHARED.pop(key) if key in _SHARED else build()
+    _SHARED[key] = value  # now the most recently used
+    if len(_SHARED) > _SHARED_SIZE:
+        del _SHARED[next(iter(_SHARED))]
+    return value
+
+
+def _grid_key(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> tuple:
+    # the seed's bits, so that 0.0 and -0.0 are different keys
+    return struct.pack("2d", seed.u, seed.v), cfg, est.phase_bits
+
+
 def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> CandidateSet | None:
     """Seeded search grid, or None when it carries no angular information.
 
@@ -109,15 +133,33 @@ def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> 
     to a point near the horizon cannot support a surrogate; both cases
     make the caller fall back to the seed angles.
     """
-    if cfg.nx * cfg.ny == 1:
-        return None
-    try:
-        cands = candidate_set(seed.u, seed.v, cfg, est.phase_bits)
-    except ValueError:
-        return None
-    if cands.size < 2:
-        return None
-    return cands
+
+    def build():
+        if cfg.nx * cfg.ny == 1:
+            return None
+        try:
+            cands = candidate_set(seed.u, seed.v, cfg, est.phase_bits)
+        except ValueError:
+            return None
+        if cands.size < 2:
+            return None
+        for a in (cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi):
+            a.flags.writeable = False
+        return cands
+
+    return _shared(_grid_key(seed, cfg, est), build)
+
+
+def _grid_beams(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, phase_bits: int | None):
+    """One beam per point of _candidates(seed, cfg, est), phase-quantized to
+    phase_bits unless it is None."""
+
+    def build():
+        w = grid_weights(_candidates(seed, cfg, est), cfg, phase_bits)
+        w.flags.writeable = False
+        return w
+
+    return _shared(_grid_key(seed, cfg, est) + (phase_bits,), build)
 
 
 def _sounder(
@@ -127,17 +169,17 @@ def _sounder(
     return lambda weights: normalized_gain(measure_beams(heff, weights, budget, rng), cfg)
 
 
-def _sweep(sound, cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None):
+def _sweep(sound, cands: CandidateSet, beams: np.ndarray):
     """Sound every candidate beam: the magnitudes, and the loudest grid point
     pulled inside the unit disk (grid corners can stick past it for
     near-horizon seeds, and infeasible cosines would break position fusion)."""
-    y = sound(grid_weights(cands, cfg, phase_bits))
+    y = sound(beams)
     return y, _clip_unit_disk(cands.points[int(np.argmax(y))])
 
 
-def _initial_surface(sound, cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None):
+def _initial_surface(sound, cands: CandidateSet, beams: np.ndarray):
     """The surrogate fitted to a grid sweep, and the sweep's loudest point."""
-    y, x0 = _sweep(sound, cands, cfg, phase_bits)
+    y, x0 = _sweep(sound, cands, beams)
     fit = fit_hyperparams(cands.points, y, max_iter=FIT_MAX_ITER)
     return make_model(cands.points, y, fit.hyperparams), x0
 
@@ -189,7 +231,7 @@ def refine_hybrid(
     if cands is None:
         return baseline_gps_only(seed)
     sound = _sounder(heff, cfg, budget, rng)
-    model, x0 = _initial_surface(sound, cands, cfg, None)
+    model, x0 = _initial_surface(sound, cands, _grid_beams(seed, cfg, est, None))
 
     def probe(x):
         nonlocal model
@@ -222,7 +264,8 @@ def refine_analog(
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return baseline_gps_only(seed)
-    model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, cfg, est.phase_bits)
+    beams = _grid_beams(seed, cfg, est, est.phase_bits)
+    model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, beams)
 
     def probe(x):
         return float(posterior(model, x)[0][0]), posterior_mean_gradient(model, x)
@@ -284,5 +327,6 @@ def baseline_codebook(
     cands = _candidates(seed, cfg, est)
     if cands is None:
         return baseline_gps_only(seed)
-    _, x = _sweep(_sounder(heff, cfg, budget, rng), cands, cfg, est.phase_bits)
+    beams = _grid_beams(seed, cfg, est, est.phase_bits)
+    _, x = _sweep(_sounder(heff, cfg, budget, rng), cands, beams)
     return _result(x, 0, cands.size)

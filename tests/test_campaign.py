@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavtrack import campaign
+from uavtrack import campaign, tracking
 from uavtrack.campaign import (
     SCHEMA_VERSION,
     SUMMARY_HEADER,
@@ -245,6 +245,65 @@ def test_split_trial_error_names_its_blocks(monkeypatch):
         run_campaign(cfg)
     assert str(info.value) == "span failed"
     assert info.value.__notes__ == ["in trial 0, blocks 5-9, of run.seed 17"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scheme_error_names_its_chain_then_its_trial(monkeypatch, workers):
+    real_refine = campaign.refine_hybrid
+
+    def fail_at_block_3(heff, seed, arr, budget, est, rng):
+        if rng.bit_generator.seed_seq.spawn_key[-1] == 3:  # the pilot stream's block
+            raise np.linalg.LinAlgError("block 3 failed")
+        return real_refine(heff, seed, arr, budget, est, rng)
+
+    _force_workers(monkeypatch, workers)
+    monkeypatch.setattr(campaign, "refine_hybrid", fail_at_block_3)
+    cfg = ScenarioConfig(
+        run_trials=2, run_blocks=4, run_schemes=("gps_only", "hybrid_gpr"),
+        link_snr_db=(20.0, 10.0), estimator_phase_bits=(6,), run_seed=17,
+    )
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        run_campaign(cfg)
+    assert str(info.value) == "block 3 failed"
+    assert info.value.__notes__ == [
+        "in scheme hybrid_gpr, snr_db 20.0, phase_bits 6, block 3",
+        "in trial 0 of run.seed 17",
+    ]
+
+
+def test_fix_block_grid_is_built_once_per_trial(monkeypatch):
+    # every SNR point and pilot scheme of a GPS-fix block is seeded at the fix
+    cfg = ScenarioConfig(
+        run_trials=2, run_blocks=1, run_schemes=tuple(s for s in SCHEMES if s != "gps_only"),
+        link_snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+    )
+    _force_workers(monkeypatch, 1)  # the calls are counted in this process
+    monkeypatch.setattr(tracking, "_SHARED", {})
+    calls = {"candidate_set": 0, "grid_weights": 0}
+    for name in calls:
+        original = getattr(tracking, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tracking, name, counted)
+    run_campaign(cfg)
+    # one grid, and one beam stack plain (hybrid_gpr) and one quantized
+    # (analog_gpr, codebook_max), per trial
+    assert calls == {"candidate_set": cfg.run_trials, "grid_weights": 2 * cfg.run_trials}
+
+
+def test_shared_grids_change_no_row(monkeypatch):
+    cfg = ScenarioConfig(
+        run_trials=1, run_blocks=7, run_schemes=SCHEMES, link_snr_db=(10.0, 30.0),
+        estimator_phase_bits=(5, 6),
+    )
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(tracking, "_SHARED", {})
+    shared = repr(run_campaign(cfg).rows)
+    monkeypatch.setattr(tracking, "_shared", lambda key, build: build())
+    assert repr(run_campaign(cfg).rows) == shared
 
 
 def _spans(cfg, cpus):
@@ -525,6 +584,27 @@ def test_trace_csv_bytes_equal_fmt_and_csv_writer(tmp_path):
     for r in rows:
         w.writerow([SCHEMA_VERSION] + [campaign._fmt(getattr(r, n)) for n in TRACE_HEADER[1:]])
     assert path.read_bytes() == buf.getvalue().encode()
+
+
+def test_summary_csv_bytes_equal_fmt_and_csv_writer(tmp_path):
+    odd = [-0.0, 1e-300, math.nan, math.inf, -math.inf, 0.12345678901234568]
+    base = summarize([_mk_row(0, 0, 0.01), _mk_row(1, 0, -0.01)], ScenarioConfig())[0]
+    rows = []
+    for i, x in enumerate(odd):
+        row = {col: (x if isinstance(v, float) else v) for col, v in base.items()}
+        row["block"] = i
+        row["pred_gain_at_mae"] = "" if i % 2 else x  # blank past the main lobe
+        row["pred_se_at_mae"] = "" if i % 3 else -x
+        rows.append(row)
+    path = tmp_path / "summary.csv"
+    write_summary_csv(str(path), rows)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(SUMMARY_HEADER)
+    for row in rows:
+        w.writerow([campaign._fmt(row[col]) for col in SUMMARY_HEADER])
+    assert path.read_bytes() == buf.getvalue().encode()
+    assert ",," in path.read_text()  # the blank cells are there
 
 
 def test_trace_csv_format(tmp_path):

@@ -167,3 +167,28 @@ def test_grid_surface_unimodal():
         surf = np.abs(grid_weights(cands, CFG).conj() @ h)
         top = np.sort(surf)
         assert top[-1] > top[-2] + 1e-12
+
+
+def _measure_beams_by_norm(heff, weights, budget, rng):
+    # measure_beams with np.linalg.norm and np.sqrt, as it was first written
+    w = np.atleast_2d(weights)
+    s = np.sqrt(budget.es)
+    signal = w.conj() @ heff * s
+    sig_n = np.sqrt(budget.sigma_n2 / 2.0)
+    norms = np.linalg.norm(w, axis=1)
+    z = rng.standard_normal((w.shape[0], 2))
+    noise = sig_n * norms * (z[:, 0] + 1j * z[:, 1])
+    return np.abs(signal + noise)
+
+
+def test_measure_beams_bitwise_equals_norm_formula():
+    rng = np.random.default_rng(31)
+    h = _aligned_channel(mu=np.exp(0.4j))
+    grid = grid_weights(candidate_set(0.1, -0.2, CFG, 6), CFG, 6)
+    scale = rng.uniform(0.01, 7.0, (40, 1))  # rows far from unit norm
+    stack = scale * (rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64)))
+    for weights in (grid[7], grid, stack, stack[3]):
+        for budget in (LinkBudget(es=2.5, snr_db=-3.0), LinkBudget(es=0.3, snr_db=17.3)):
+            got = measure_beams(h, weights, budget, np.random.default_rng(5))
+            want = _measure_beams_by_norm(h, weights, budget, np.random.default_rng(5))
+            assert np.array_equal(got, want)

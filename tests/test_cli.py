@@ -102,6 +102,25 @@ def test_trial_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
     assert err == "error: trial 1 failed\n  in trial 1 of run.seed 9\n"
 
 
+def test_scheme_config_error_prints_both_notes_and_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(heff, seed, arr, budget, est, rng):
+        raise ConfigError("refine failed")
+
+    monkeypatch.setattr(campaign, "refine_hybrid", fail)
+    cfg = _write_config(tmp_path, SMALL)
+    code = main([
+        "simulate", "--config", cfg, "--schemes", "hybrid_gpr", "--snr-db", "10",
+        "--phase-bits", "5", "--seed", "9", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: refine failed\n"
+        "  in scheme hybrid_gpr, snr_db 10.0, phase_bits 5, block 0\n"
+        "  in trial 0 of run.seed 9\n"
+    )
+
+
 def test_bad_env_value_exit_2(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path, SMALL)
     monkeypatch.setenv("UAVTRACK_TRIALS", "many")

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavtrack import gpr
 from uavtrack import tracking as tr
@@ -541,3 +543,48 @@ def test_with_point_rejects_non_finite_point():
     with pytest.raises(ValueError, match="non-finite training point at row 8"):
         model.with_point(np.array([0.1, 0.2]), float("inf"))
     assert model.n == 8 and np.isfinite(model.alpha).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    appends=st.integers(1, 8),
+    sigma_s=st.floats(0.05, 5.0),
+    ell_u=st.floats(0.01, 2.0),
+    ell_v=st.floats(0.01, 2.0),
+    sigma_n=st.floats(0.0, 0.5),
+)
+def test_carried_kernel_column_gives_the_recomputed_gradient(
+    seed, n, appends, sigma_s, ell_u, ell_v, sigma_n
+):
+    rng = np.random.default_rng(seed)
+    hp = Hyperparams(sigma_s=sigma_s, lengthscales=(ell_u, ell_v), sigma_n=sigma_n)
+    x, y = _random_set(rng, n)
+    model = make_model(x, y, hp)
+    for px, py in zip(rng.uniform(-0.4, 0.4, (appends, 2)), rng.standard_normal(appends)):
+        model = model.with_point(px, py)
+        if model.k_last is None:  # the append fell back to a fresh factorization
+            continue
+        assert np.array_equal(model.k_last, kernel(model.x, model.x[-1:], hp)[:, 0])
+        assert model.k_last[-1] == sigma_s**2
+        carried = posterior_mean_gradient(model, px)
+        assert np.array_equal(carried, posterior_mean_gradient(replace(model, k_last=None), px))
+
+
+def test_carried_kernel_column_serves_only_the_appended_point():
+    rng = np.random.default_rng(23)
+    x, y = _random_set(rng, 9)
+    model = make_model(x, y, HP)
+    assert model.k_last is None
+    p = np.array([0.05, -0.1])
+    model = model.with_point(p, 0.3)
+    # a poisoned column shows where it is read
+    poisoned = replace(model, k_last=np.full(model.n, np.nan))
+    assert np.isnan(posterior_mean_gradient(poisoned, p)).all()
+    plain = replace(model, k_last=None)
+    for q in (np.array([0.05, -0.1 + 1e-12]), x[0], np.array([0.2, 0.2])):
+        assert np.array_equal(posterior_mean_gradient(poisoned, q), posterior_mean_gradient(plain, q))
+    # a refit, or an append that falls back to one, carries no column
+    assert make_model(model.x, model.y, HP).k_last is None
+    assert replace(model, jitter=-10.0).with_point(np.array([0.1, 0.1]), 0.2).k_last is None

@@ -1,5 +1,5 @@
-"""Smoke tests of the paper-figure scripts at one trial, and of the
-equivalence campaigns' table."""
+"""Smoke tests of the paper-figure scripts at one trial, of the
+equivalence campaigns' table, and of the paired timing script."""
 
 import csv
 import importlib.util
@@ -57,3 +57,17 @@ def test_reference_campaigns_are_valid_configs():
     # the golden campaign is the one the golden-trace test replays
     assert campaigns["golden"] == _load(ROOT / "tests" / "test_golden_trace.py").CFG
 
+
+
+def test_paired_timing_compares_a_tree_with_itself():
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "paired_timing.py"), src, src,
+         "--workload", "snr_sweep", "--passes", "2", "--trials", "1"],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload snr_sweep, 1 trial(s) per pass, 2 passes each"
+    assert "median per-pass ratio new/old" in done.stdout
+    assert lines[-1].endswith("trace.csv equal in 2/2")

@@ -389,3 +389,39 @@ def test_all_estimators_return_feasible_angles(su, sv, noise_seed):
     for fn in (refine_hybrid, refine_analog, baseline_perturbation, baseline_codebook):
         r = fn(h, seed, CFG, budget, est, np.random.default_rng(noise_seed))
         assert r.u**2 + r.v**2 <= 1.0
+
+
+def test_shared_grid_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(tr, "_SHARED", {})
+    seed = SpatialAngles(0.1, -0.2)
+    cands = tr._candidates(seed, CFG, EST)
+    arrays = [cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi]
+    arrays += [tr._grid_beams(seed, CFG, EST, bits) for bits in (None, EST.phase_bits)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_shared_grids_are_keyed_on_exact_inputs(monkeypatch):
+    monkeypatch.setattr(tr, "_SHARED", {})
+    seed = SpatialAngles(0.0, -0.2)
+    cands = tr._candidates(seed, CFG, EST)
+    assert tr._candidates(SpatialAngles(0.0, -0.2), CFG, EST) is cands
+    for other in [
+        tr._candidates(SpatialAngles(-0.0, -0.2), CFG, EST),
+        tr._candidates(SpatialAngles(0.0, np.nextafter(-0.2, 0.0)), CFG, EST),
+        tr._candidates(seed, ArrayConfig(nx=8, ny=8, nu=4), EST),
+        tr._candidates(seed, CFG, EstimatorConfig(phase_bits=5)),
+    ]:
+        assert other is not cands
+    plain = tr._grid_beams(seed, CFG, EST, None)
+    assert tr._grid_beams(seed, CFG, EST, None) is plain
+    assert np.array_equal(plain, grid_weights(cands, CFG))
+    quantized = tr._grid_beams(seed, CFG, EST, EST.phase_bits)
+    assert np.array_equal(quantized, grid_weights(cands, CFG, EST.phase_bits))
+    # least recently used first out: a grid in use survives any number of others
+    for i in range(2 * tr._SHARED_SIZE):
+        tr._candidates(SpatialAngles(0.01 * i, 0.3), CFG, EST)
+        assert tr._candidates(seed, CFG, EST) is cands
+    assert len(tr._SHARED) == tr._SHARED_SIZE
