@@ -13,17 +13,24 @@ Each campaign writes trace.csv and summary.csv under OUT_DIR/<campaign>/:
   phase_bits         analog_gpr and codebook_max at 4-8 phase bits and
                      10 and 20 dB, 12 trials of the estimation sweep
 
-To check that a change keeps the arithmetic, run this script on both
-checkouts (PYTHONPATH set to each one's src) and diff the two printouts;
-scripts/compare_traces.py tells roundoff from a changed estimate on any
-file that differs.
+The CSVs hold 12 significant digits, which hide the last bits of a float,
+so each campaign also gets one line ending in rows.float64: the sha256 of
+the float fields of its trace rows as float64 bits, taken in memory. Equal
+lines mean bitwise equal rows. To check that a change keeps the
+arithmetic, run this script on both checkouts (PYTHONPATH set to each
+one's src) and diff the two printouts; scripts/compare_traces.py tells
+roundoff from a changed estimate on any file that differs.
 """
 
 import argparse
 import hashlib
+import operator
 import os
+from dataclasses import fields
 
-from uavtrack.campaign import run_campaign, write_summary_csv, write_trace_csv
+import numpy as np
+
+from uavtrack.campaign import TraceRow, run_campaign, write_summary_csv, write_trace_csv
 from uavtrack.config import SCHEMES, ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,6 +66,13 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def float_digest(rows) -> str:
+    """sha256 of the float fields of rows as float64 bits, row by row."""
+    values = operator.attrgetter(*[f.name for f in fields(TraceRow) if f.type == "float"])
+    floats = np.array(list(map(values, rows)), dtype=np.float64)
+    return hashlib.sha256(floats.tobytes()).hexdigest()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory for the campaigns' CSVs")
@@ -71,6 +85,7 @@ def main():
         write_summary_csv(summary, result.summary_rows())
         for path in (trace, summary):
             print(f"{_sha256(path)}  {os.path.relpath(path, out_dir)}", flush=True)
+        print(f"{float_digest(result.rows)}  {name}/rows.float64", flush=True)
 
 
 if __name__ == "__main__":

@@ -168,96 +168,98 @@ def simulate_readings(cfg: ScenarioConfig, trial: int, states):
     return timeline
 
 
-def _refine(scheme: str, heff, seed: SpatialAngles, arr, budget, est, pilot_key) -> RefineResult:
+def _refine(
+    scheme: str, heff, seed: SpatialAngles, arr, budget, est, pilot_key, *, grids
+) -> RefineResult:
     # an if-chain, not a table: bench/layers.py traces each scheme by its name here.
     # Only the pilot schemes build their stream(*pilot_key); gps_only sounds none.
     if scheme == "gps_only":
         return baseline_gps_only(seed)
     rng = stream(*pilot_key)
     if scheme == "hybrid_gpr":
-        return refine_hybrid(heff, seed, arr, budget, est, rng)
+        return refine_hybrid(heff, seed, arr, budget, est, rng, grids=grids)
     if scheme == "analog_gpr":
-        return refine_analog(heff, seed, arr, budget, est, rng)
+        return refine_analog(heff, seed, arr, budget, est, rng, grids=grids)
     if scheme == "perturbation":
-        return baseline_perturbation(heff, seed, arr, budget, est, rng)
+        return baseline_perturbation(heff, seed, arr, budget, est, rng, grids=grids)
     if scheme == "codebook_max":
-        return baseline_codebook(heff, seed, arr, budget, est, rng)
+        return baseline_codebook(heff, seed, arr, budget, est, rng, grids=grids)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[TraceRow]:
-    """Every row of one trial's blocks, in (SNR, phase bits, scheme, block) order.
-
-    The world is built once: the trajectory, the fading, the sensor
-    timeline, and per block the precoder from the latest navigation-unit
-    reading, the effective channel and the true angles. No scheme can
-    change any of these, so each scheme run carries only its own position
-    estimate.
+def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[list[TraceRow]]:
+    """One trial's rows over `blocks`: a list per (SNR, phase bits, scheme)
+    chain, in that order, each in block order.
 
     The truth and sensor streams are sequential, so they are drawn for the
-    whole trial; the channel, the precoder and the schemes run on `blocks`
-    alone. Its first block must carry a GPS fix, which predict_position
-    takes as is: no estimate carries into a span.
+    whole trial; the rest runs on `blocks` alone, one block at a time. A
+    block's world (the precoder from the latest navigation-unit reading,
+    the effective channel and the true angles) is built once, and no
+    scheme can change it, so each chain carries only its own position
+    estimate. The chains of a block share one table of seeded grids (see
+    tracking._grid), which goes with the block. The first block must carry
+    a GPS fix, which predict_position takes as is: no estimate carries into
+    a span.
     """
     arr = cfg.arrays()
     gs_pos = Position3(cfg.scenario_gs_x, cfg.scenario_gs_y, cfg.scenario_gs_height)
     delta_h = cfg.scenario_uav_height - cfg.scenario_gs_height
+    # snr_db, budget, phase_bits, estimator, scheme and the data beam's quantization
+    chains = [
+        (snr_db, cfg.budget(snr_db), phase_bits, cfg.estimator(phase_bits), scheme,
+         phase_bits if scheme in ANALOG_SCHEMES else None)
+        for snr_db in cfg.link_snr_db
+        for phase_bits in cfg.estimator_phase_bits
+        for scheme in cfg.run_schemes
+    ]
+    estimates = [None] * len(chains)  # the span's first block has a fix
+    rows = [[] for _ in chains]
 
     states, mus = simulate_truth(cfg, trial)
     timeline = simulate_readings(cfg, trial, states)
-    world = []
     for k in blocks:
         position, heading = states[k].position, states[k].heading
         gps, velocity, egi = timeline[k]
         arrival = arrival_angles(position, gs_pos)
         truth = SpatialAngles(arrival.u, arrival.v, departure_angle(position, gs_pos, heading))
         heff = effective_channel(truth, build_precoder(egi, gs_pos, arr), complex(mus[k]), arr)
-        world.append((k, position, gps, velocity, truth, heff))
-
-    rows = []
-    for snr_db in cfg.link_snr_db:
-        budget = cfg.budget(snr_db)
-        for phase_bits in cfg.estimator_phase_bits:
-            est = cfg.estimator(phase_bits)
-            for scheme in cfg.run_schemes:
-                quantize_data = phase_bits if scheme in ANALOG_SCHEMES else None
-                estimate = None  # the span's first block has a fix
-                for k, position, gps, velocity, truth, heff in world:
-                    prior = predict_position(estimate, velocity, gps, cfg.schedule_t_block)
-                    seed = arrival_angles(prior, gs_pos)
-                    pilot_key = (cfg.run_seed, trial, _PILOT, k)
-                    try:
-                        res = _refine(scheme, heff, seed, arr, budget, est, pilot_key)
-                    except Exception as e:
-                        e.add_note(
-                            f"in scheme {scheme}, snr_db {snr_db}, phase_bits {phase_bits}, block {k}"
-                        )
-                        raise
-                    estimate = fuse_position(SpatialAngles(res.u, res.v), gs_pos, delta_h)
-                    gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
-                    rows.append(
-                        TraceRow(
-                            trial=trial,
-                            block=k,
-                            scheme=scheme,
-                            snr_db=snr_db,
-                            phase_bits=phase_bits,
-                            true_x=position.x,
-                            true_y=position.y,
-                            true_u=truth.u,
-                            true_v=truth.v,
-                            true_ua=truth.u_a,
-                            est_u=res.u,
-                            est_v=res.v,
-                            est_x=estimate.x,
-                            est_y=estimate.y,
-                            gain=gain,
-                            norm_gain=normalized_gain(gain, arr),
-                            se_bits=spectral_efficiency(gain, budget),
-                            iterations=res.iterations,
-                            measurements=res.measurements,
-                        )
-                    )
+        pilot_key = (cfg.run_seed, trial, _PILOT, k)
+        grids = {}
+        for c, (snr_db, budget, phase_bits, est, scheme, quantize_data) in enumerate(chains):
+            prior = predict_position(estimates[c], velocity, gps, cfg.schedule_t_block)
+            seed = arrival_angles(prior, gs_pos)
+            try:
+                res = _refine(scheme, heff, seed, arr, budget, est, pilot_key, grids=grids)
+            except Exception as e:
+                e.add_note(
+                    f"in scheme {scheme}, snr_db {snr_db}, phase_bits {phase_bits}, block {k}"
+                )
+                raise
+            estimate = estimates[c] = fuse_position(SpatialAngles(res.u, res.v), gs_pos, delta_h)
+            gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
+            rows[c].append(
+                TraceRow(
+                    trial=trial,
+                    block=k,
+                    scheme=scheme,
+                    snr_db=snr_db,
+                    phase_bits=phase_bits,
+                    true_x=position.x,
+                    true_y=position.y,
+                    true_u=truth.u,
+                    true_v=truth.v,
+                    true_ua=truth.u_a,
+                    est_u=res.u,
+                    est_v=res.v,
+                    est_x=estimate.x,
+                    est_y=estimate.y,
+                    gain=gain,
+                    norm_gain=normalized_gain(gain, arr),
+                    se_bits=spectral_efficiency(gain, budget),
+                    iterations=res.iterations,
+                    measurements=res.measurements,
+                )
+            )
     return rows
 
 
@@ -331,15 +333,11 @@ def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
             # RUSAGE_CHILDREN and none of them runs after this returns.
             with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
                 per_unit = list(pool.map(_unit_rows, itertools.repeat(cfg), trials, spans))
-    # a unit's rows are one run of len(blocks) rows per (SNR, phase bits,
-    # scheme) chain; interleave a trial's spans chain by chain
-    chains = len(cfg.link_snr_db) * len(cfg.estimator_phase_bits) * len(cfg.run_schemes)
+    # a unit's rows are a list per chain; join a trial's spans chain by chain
     rows = []
-    for _, group in itertools.groupby(zip(spans, per_unit, trials), key=lambda unit: unit[2]):
-        parts = [(len(blocks), unit_rows) for blocks, unit_rows, _ in group]
-        for c in range(chains):
-            for n, unit_rows in parts:
-                rows.extend(unit_rows[c * n : (c + 1) * n])
+    for _, group in itertools.groupby(zip(trials, per_unit), key=operator.itemgetter(0)):
+        for spans_of_chain in zip(*(chain_rows for _, chain_rows in group)):
+            rows.extend(itertools.chain(*spans_of_chain))
     return CampaignResult(config=cfg, rows=tuple(rows))
 
 

@@ -103,63 +103,45 @@ def _clip_unit_disk(point: np.ndarray) -> np.ndarray:
     return point
 
 
-# Seeded grids and their beam stacks, by exact input. At a GPS-fix block
-# every SNR point and scheme is seeded at the fix and sounds the same beams;
-# elsewhere each chain has its own seed and misses. The _SHARED_SIZE most
-# recently used entries are kept, and their arrays are read-only because
-# chains share them.
-_SHARED: dict = {}
-_SHARED_SIZE = 8
+def _grid(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, grids, beams=None):
+    """The seeded search grid and, when beams is "plain" or "quantized", one
+    beam per grid point, phase-quantized to est.phase_bits for "quantized".
 
+    The grid is None when it carries no angular information: a single
+    ground antenna has a flat beamspace, and a grid that clips to a point
+    near the horizon cannot support a surrogate; both make the caller fall
+    back to the seed angles.
 
-def _shared(key: tuple, build):
-    """build(), or what it returned for the same key if that is still kept."""
-    value = _SHARED.pop(key) if key in _SHARED else build()
-    _SHARED[key] = value  # now the most recently used
-    if len(_SHARED) > _SHARED_SIZE:
-        del _SHARED[next(iter(_SHARED))]
-    return value
-
-
-def _grid_key(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> tuple:
-    # the seed's bits, so that 0.0 and -0.0 are different keys
-    return struct.pack("2d", seed.u, seed.v), cfg, est.phase_bits
-
-
-def _candidates(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig) -> CandidateSet | None:
-    """Seeded search grid, or None when it carries no angular information.
-
-    A single ground antenna has a flat beamspace, and a grid that clips
-    to a point near the horizon cannot support a surrogate; both cases
-    make the caller fall back to the seed angles.
+    grids is one block's table, a dict, or None: at a GPS-fix block every SNR point and
+    scheme is seeded at the fix and sounds the same beams. It is keyed on
+    the seed's exact bits (0.0 and -0.0 differ), the array, the phase bits
+    and the quantization, and its arrays are read-only because chains
+    share them. With no table, both are built afresh.
     """
-
-    def build():
-        if cfg.nx * cfg.ny == 1:
-            return None
-        try:
-            cands = candidate_set(seed.u, seed.v, cfg, est.phase_bits)
-        except ValueError:
-            return None
-        if cands.size < 2:
-            return None
-        for a in (cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi):
-            a.flags.writeable = False
-        return cands
-
-    return _shared(_grid_key(seed, cfg, est), build)
-
-
-def _grid_beams(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, phase_bits: int | None):
-    """One beam per point of _candidates(seed, cfg, est), phase-quantized to
-    phase_bits unless it is None."""
-
-    def build():
-        w = grid_weights(_candidates(seed, cfg, est), cfg, phase_bits)
+    table = {} if grids is None else grids
+    key = (struct.pack("2d", seed.u, seed.v), cfg, est.phase_bits)
+    if key not in table:
+        cands = None
+        if cfg.nx * cfg.ny > 1:
+            try:
+                cands = candidate_set(seed.u, seed.v, cfg, est.phase_bits)
+            except ValueError:
+                pass
+        if cands is not None and cands.size >= 2:
+            for a in (cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi):
+                a.flags.writeable = False
+        else:
+            cands = None
+        table[key] = cands
+    cands = table[key]
+    if cands is None or beams is None:
+        return cands, None
+    stack_key = key + (beams,)
+    if stack_key not in table:
+        w = grid_weights(cands, cfg, est.phase_bits if beams == "quantized" else None)
         w.flags.writeable = False
-        return w
-
-    return _shared(_grid_key(seed, cfg, est) + (phase_bits,), build)
+        table[stack_key] = w
+    return cands, table[stack_key]
 
 
 def _sounder(
@@ -217,6 +199,8 @@ def refine_hybrid(
     budget: LinkBudget,
     est: EstimatorConfig,
     rng: np.random.Generator,
+    *,
+    grids: dict | None = None,
 ) -> RefineResult:
     """Grid sweep, then one adaptive probe per iteration.
 
@@ -227,11 +211,11 @@ def refine_hybrid(
     threshold, or at the iteration cap. The iterate stays inside the
     candidate box and the unit disk.
     """
-    cands = _candidates(seed, cfg, est)
+    cands, beams = _grid(seed, cfg, est, grids, "plain")
     if cands is None:
         return baseline_gps_only(seed)
     sound = _sounder(heff, cfg, budget, rng)
-    model, x0 = _initial_surface(sound, cands, _grid_beams(seed, cfg, est, None))
+    model, x0 = _initial_surface(sound, cands, beams)
 
     def probe(x):
         nonlocal model
@@ -253,6 +237,8 @@ def refine_analog(
     budget: LinkBudget,
     est: EstimatorConfig,
     rng: np.random.Generator,
+    *,
+    grids: dict | None = None,
 ) -> RefineResult:
     """Phase-quantized sweep, then prediction-only ascent.
 
@@ -261,10 +247,9 @@ def refine_analog(
     predictive means differ by less than the threshold. No beam outside
     the quantized grid is ever sounded.
     """
-    cands = _candidates(seed, cfg, est)
+    cands, beams = _grid(seed, cfg, est, grids, "quantized")
     if cands is None:
         return baseline_gps_only(seed)
-    beams = _grid_beams(seed, cfg, est, est.phase_bits)
     model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, beams)
 
     def probe(x):
@@ -287,6 +272,8 @@ def baseline_perturbation(
     budget: LinkBudget,
     est: EstimatorConfig,
     rng: np.random.Generator,
+    *,
+    grids: dict | None = None,
 ) -> RefineResult:
     """Stochastic power ascent with forward-difference gradients.
 
@@ -295,7 +282,7 @@ def baseline_perturbation(
     differences of received power, and steps along them. Stops when consecutive center powers differ by
     less than the threshold, or at the iteration cap.
     """
-    cands = _candidates(seed, cfg, est)
+    cands, _ = _grid(seed, cfg, est, grids)
     if cands is None:
         return baseline_gps_only(seed)
     delta_p = cands.delta / 2.0
@@ -318,15 +305,16 @@ def baseline_codebook(
     budget: LinkBudget,
     est: EstimatorConfig,
     rng: np.random.Generator,
+    *,
+    grids: dict | None = None,
 ) -> RefineResult:
     """Exhaustive argmax over the quantized candidate grid.
 
     Ties resolve to the lowest flat index. The estimate is always a grid
     point, so its error floor is set by the grid pitch.
     """
-    cands = _candidates(seed, cfg, est)
+    cands, beams = _grid(seed, cfg, est, grids, "quantized")
     if cands is None:
         return baseline_gps_only(seed)
-    beams = _grid_beams(seed, cfg, est, est.phase_bits)
     _, x = _sweep(_sounder(heff, cfg, budget, rng), cands, beams)
     return _result(x, 0, cands.size)

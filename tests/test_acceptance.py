@@ -361,3 +361,42 @@ def test_criterion_8_byte_identical_traces(tmp_path):
     elapsed = time.perf_counter() - t0
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 0
     _report(8, ok, f"repeated runs byte-identical ({len(blobs[0])} bytes)", elapsed, None)
+
+
+def test_criterion_9_gain_holds_when_sensor_data_is_absent():
+    # the abstract: the beamforming signal "keeps high gain even when the
+    # flight sensor data is absent". With t_gps at the run's length only
+    # block 0 has a fix, so gps_only dead-reckons from there on.
+    t0 = time.perf_counter()
+    cfg = ScenarioConfig(
+        run_trials=8,
+        run_blocks=100,
+        run_schemes=("hybrid_gpr", "gps_only"),
+        link_snr_db=(10.0,),
+        schedule_t_gps=1.0,
+    )
+    assert [k for k in range(cfg.run_blocks) if cfg.schedule().gps_due(k)] == [0]
+    # the last quarter's even blocks: odd blocks steer the UAV precoder from a
+    # navigation reading one block old, which costs both schemes alike
+    per_trial = {}
+    for r in run_campaign(cfg).rows:
+        if r.block >= 3 * cfg.run_blocks // 4 and r.block % 2 == 0:
+            per_trial.setdefault(r.scheme, {}).setdefault(r.trial, []).append(r.norm_gain)
+    trials = sorted(per_trial["hybrid_gpr"])
+    hybrid = [float(np.mean(per_trial["hybrid_gpr"][t])) for t in trials]
+    gps = [float(np.mean(per_trial["gps_only"][t])) for t in trials]
+    hybrid_lo = _bootstrap_mean_quantile(hybrid, 0.05, seed=91)
+    gps_hi = _bootstrap_mean_quantile(gps, 0.95, seed=92)
+    diff_lo = _bootstrap_mean_quantile(np.subtract(hybrid, gps), 0.05, seed=93)
+    elapsed = time.perf_counter() - t0
+    ok = hybrid_lo >= 0.99 and gps_hi <= 0.97 and diff_lo >= 0.03
+    _report(
+        9,
+        ok,
+        f"last-quarter norm gain without fixes: hybrid_gpr {np.mean(hybrid):.4f} "
+        f"(95% lower bound {hybrid_lo:.4f}, floor 0.99), gps_only {np.mean(gps):.4f} "
+        f"(95% upper bound {gps_hi:.4f}, ceiling 0.97), advantage lower bound "
+        f"{diff_lo:.4f} (floor 0.03)",
+        elapsed,
+        60.0,
+    )

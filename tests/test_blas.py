@@ -67,7 +67,7 @@ def test_campaign_workers_inherit_one_blas_thread(two_threads, monkeypatch):
         threads = len(os.listdir("/proc/self/task"))
         if counts != [1] * len(counts) or threads != 1:
             raise RuntimeError(f"worker BLAS threads {counts}, OS threads {threads}")
-        return [os.getpid()]
+        return [[os.getpid()]]  # one chain of one row
 
     monkeypatch.setattr(campaign, "_worker_count", lambda trials: min(2, trials))
     monkeypatch.setattr(campaign, "_run_trial", spy)

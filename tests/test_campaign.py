@@ -4,6 +4,7 @@ import io
 import math
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -251,10 +252,10 @@ def test_split_trial_error_names_its_blocks(monkeypatch):
 def test_scheme_error_names_its_chain_then_its_trial(monkeypatch, workers):
     real_refine = campaign.refine_hybrid
 
-    def fail_at_block_3(heff, seed, arr, budget, est, rng):
+    def fail_at_block_3(heff, seed, arr, budget, est, rng, **kwargs):
         if rng.bit_generator.seed_seq.spawn_key[-1] == 3:  # the pilot stream's block
             raise np.linalg.LinAlgError("block 3 failed")
-        return real_refine(heff, seed, arr, budget, est, rng)
+        return real_refine(heff, seed, arr, budget, est, rng, **kwargs)
 
     _force_workers(monkeypatch, workers)
     monkeypatch.setattr(campaign, "refine_hybrid", fail_at_block_3)
@@ -278,7 +279,6 @@ def test_fix_block_grid_is_built_once_per_trial(monkeypatch):
         link_snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
     )
     _force_workers(monkeypatch, 1)  # the calls are counted in this process
-    monkeypatch.setattr(tracking, "_SHARED", {})
     calls = {"candidate_set": 0, "grid_weights": 0}
     for name in calls:
         original = getattr(tracking, name)
@@ -300,10 +300,58 @@ def test_shared_grids_change_no_row(monkeypatch):
         estimator_phase_bits=(5, 6),
     )
     _force_workers(monkeypatch, 1)
-    monkeypatch.setattr(tracking, "_SHARED", {})
+    built = []
+    real_candidate_set = tracking.candidate_set
+
+    def counted(*args):
+        built.append(args)
+        return real_candidate_set(*args)
+
+    monkeypatch.setattr(tracking, "candidate_set", counted)
     shared = repr(run_campaign(cfg).rows)
-    monkeypatch.setattr(tracking, "_shared", lambda key, build: build())
+    with_table = len(built)
+    real_refine = campaign._refine
+    monkeypatch.setattr(campaign, "_refine", lambda *args, grids: real_refine(*args, grids=None))
     assert repr(run_campaign(cfg).rows) == shared
+    assert len(built) - with_table > with_table  # without a table, fix blocks build more
+
+
+def test_no_grid_is_built_twice_in_a_block(monkeypatch):
+    cfg = ScenarioConfig(
+        run_trials=1, run_blocks=20, run_schemes=SCHEMES, link_snr_db=(10.0, 20.0)
+    )
+    _force_workers(monkeypatch, 1)  # the calls are counted in this process
+    block = [None]
+    real_refine = campaign._refine
+
+    def refine(*args, **kwargs):
+        block[0] = args[6][-1]  # the pilot key's block
+        return real_refine(*args, **kwargs)
+
+    grids, stacks = [], []
+    origin = {}  # id of each grid built: its input, and the grid, kept alive
+    real_candidate_set, real_grid_weights = tracking.candidate_set, tracking.grid_weights
+
+    def candidate_set(u, v, arr, phase_bits):
+        grids.append((block[0], struct.pack("2d", u, v), phase_bits))
+        cands = real_candidate_set(u, v, arr, phase_bits)
+        origin[id(cands)] = (grids[-1], cands)
+        return cands
+
+    def grid_weights(cands, arr, phase_bits=None):
+        stacks.append((origin[id(cands)][0], phase_bits))
+        return real_grid_weights(cands, arr, phase_bits)
+
+    monkeypatch.setattr(campaign, "_refine", refine)
+    monkeypatch.setattr(tracking, "candidate_set", candidate_set)
+    monkeypatch.setattr(tracking, "grid_weights", grid_weights)
+    run_campaign(cfg)
+    assert len(grids) == len(set(grids))
+    assert len(stacks) == len(set(stacks))
+    # the four pilot schemes at both SNRs share each fix block's grid
+    pilot_refines = 4 * len(cfg.link_snr_db) * cfg.run_blocks
+    fixes = cfg.run_blocks // cfg.schedule().gps_every
+    assert len(grids) <= pilot_refines - fixes * (4 * len(cfg.link_snr_db) - 1)
 
 
 def _spans(cfg, cpus):
@@ -376,8 +424,8 @@ def test_span_builds_channel_and_precoder_for_its_blocks_only(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(campaign, name, counted)
-    rows = campaign._run_trial(cfg, 0, range(5, 10))
-    assert [r.block for r in rows] == [5, 6, 7, 8, 9]
+    chains = campaign._run_trial(cfg, 0, range(5, 10))
+    assert [[r.block for r in rows] for rows in chains] == [[5, 6, 7, 8, 9]]
     assert calls == {"effective_channel": 5, "build_precoder": 5}
 
 

@@ -103,7 +103,7 @@ def test_trial_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_scheme_config_error_prints_both_notes_and_exits_2(tmp_path, monkeypatch, capsys):
-    def fail(heff, seed, arr, budget, est, rng):
+    def fail(heff, seed, arr, budget, est, rng, **kwargs):
         raise ConfigError("refine failed")
 
     monkeypatch.setattr(campaign, "refine_hybrid", fail)

@@ -2,14 +2,17 @@
 equivalence campaigns' table, and of the paired timing script."""
 
 import csv
+import dataclasses
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from uavtrack.campaign import run_campaign, write_trace_csv
 from uavtrack.config import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +60,25 @@ def test_reference_campaigns_are_valid_configs():
     # the golden campaign is the one the golden-trace test replays
     assert campaigns["golden"] == _load(ROOT / "tests" / "test_golden_trace.py").CFG
 
+
+def test_float_digest_sees_one_ulp_the_csv_hides(tmp_path):
+    float_digest = _load(ROOT / "scripts" / "reference_runs.py").float_digest
+    result = run_campaign(
+        ScenarioConfig(run_trials=1, run_blocks=2, run_schemes=("hybrid_gpr", "gps_only"))
+    )
+    rows = list(result.rows)
+    digest = float_digest(rows)
+    assert float_digest(list(rows)) == digest
+    for field in dataclasses.fields(rows[1]):
+        if field.type == "float":
+            up = float(np.nextafter(getattr(rows[1], field.name), np.inf))
+            moved = rows[:1] + [dataclasses.replace(rows[1], **{field.name: up})] + rows[2:]
+            assert float_digest(moved) != digest, field.name
+    # one ulp on est_u leaves the 12-digit trace unchanged
+    up = dataclasses.replace(rows[1], est_u=float(np.nextafter(rows[1].est_u, np.inf)))
+    for name, trace_rows in [("old", rows), ("new", rows[:1] + [up] + rows[2:])]:
+        write_trace_csv(str(tmp_path / name), dataclasses.replace(result, rows=tuple(trace_rows)))
+    assert (tmp_path / "old").read_bytes() == (tmp_path / "new").read_bytes()
 
 
 def test_paired_timing_compares_a_tree_with_itself():

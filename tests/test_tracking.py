@@ -391,37 +391,57 @@ def test_all_estimators_return_feasible_angles(su, sv, noise_seed):
         assert r.u**2 + r.v**2 <= 1.0
 
 
-def test_shared_grid_arrays_are_read_only(monkeypatch):
-    monkeypatch.setattr(tr, "_SHARED", {})
+def test_shared_grid_arrays_are_read_only():
     seed = SpatialAngles(0.1, -0.2)
-    cands = tr._candidates(seed, CFG, EST)
-    arrays = [cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi]
-    arrays += [tr._grid_beams(seed, CFG, EST, bits) for bits in (None, EST.phase_bits)]
+    grids = {}
+    cands, plain = tr._grid(seed, CFG, EST, grids, "plain")
+    arrays = [cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi, plain]
+    arrays.append(tr._grid(seed, CFG, EST, grids, "quantized")[1])
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
 
 
-def test_shared_grids_are_keyed_on_exact_inputs(monkeypatch):
-    monkeypatch.setattr(tr, "_SHARED", {})
+def test_shared_grids_are_keyed_on_exact_inputs():
+    grids = {}
     seed = SpatialAngles(0.0, -0.2)
-    cands = tr._candidates(seed, CFG, EST)
-    assert tr._candidates(SpatialAngles(0.0, -0.2), CFG, EST) is cands
+    cands, no_beams = tr._grid(seed, CFG, EST, grids)
+    assert no_beams is None
+    assert tr._grid(SpatialAngles(0.0, -0.2), CFG, EST, grids)[0] is cands
     for other in [
-        tr._candidates(SpatialAngles(-0.0, -0.2), CFG, EST),
-        tr._candidates(SpatialAngles(0.0, np.nextafter(-0.2, 0.0)), CFG, EST),
-        tr._candidates(seed, ArrayConfig(nx=8, ny=8, nu=4), EST),
-        tr._candidates(seed, CFG, EstimatorConfig(phase_bits=5)),
+        tr._grid(SpatialAngles(-0.0, -0.2), CFG, EST, grids)[0],
+        tr._grid(SpatialAngles(0.0, np.nextafter(-0.2, 0.0)), CFG, EST, grids)[0],
+        tr._grid(seed, ArrayConfig(nx=8, ny=8, nu=4), EST, grids)[0],
+        tr._grid(seed, CFG, EstimatorConfig(phase_bits=5), grids)[0],
     ]:
         assert other is not cands
-    plain = tr._grid_beams(seed, CFG, EST, None)
-    assert tr._grid_beams(seed, CFG, EST, None) is plain
+    plain = tr._grid(seed, CFG, EST, grids, "plain")[1]
+    again = tr._grid(seed, CFG, EST, grids, "plain")
+    assert again[0] is cands and again[1] is plain
     assert np.array_equal(plain, grid_weights(cands, CFG))
-    quantized = tr._grid_beams(seed, CFG, EST, EST.phase_bits)
+    quantized = tr._grid(seed, CFG, EST, grids, "quantized")[1]
+    assert tr._grid(seed, CFG, EST, grids, "quantized")[1] is quantized
     assert np.array_equal(quantized, grid_weights(cands, CFG, EST.phase_bits))
-    # least recently used first out: a grid in use survives any number of others
-    for i in range(2 * tr._SHARED_SIZE):
-        tr._candidates(SpatialAngles(0.01 * i, 0.3), CFG, EST)
-        assert tr._candidates(seed, CFG, EST) is cands
-    assert len(tr._SHARED) == tr._SHARED_SIZE
+
+
+def test_grids_without_a_table_are_built_afresh():
+    seed = SpatialAngles(0.1, -0.2)
+    first, second = (tr._grid(seed, CFG, EST, None, "plain") for _ in range(2))
+    assert first[0] is not second[0] and first[1] is not second[1]
+    assert np.array_equal(first[0].points, second[0].points)
+    assert np.array_equal(first[1], second[1])
+
+
+def test_a_scheme_fills_the_table_it_is_given():
+    h = _chan(0.12, -0.18)
+    seed = SpatialAngles(0.1, -0.2)
+    grids = {}
+    # the grid and its plain beams, then the quantized beams as well
+    for fn, beams, entries in [(refine_hybrid, "plain", 2), (refine_analog, "quantized", 3)]:
+        alone = fn(h, seed, CFG, QUIET, EST, np.random.default_rng(3))
+        assert fn(h, seed, CFG, QUIET, EST, np.random.default_rng(3), grids=grids) == alone
+        assert len(grids) == entries
+        cands, w = tr._grid(seed, CFG, EST, None, beams)
+        kept = tr._grid(seed, CFG, EST, grids, beams)
+        assert np.array_equal(kept[0].points, cands.points) and np.array_equal(kept[1], w)
