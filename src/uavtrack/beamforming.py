@@ -114,8 +114,9 @@ def candidate_set(seed_u: float, seed_v: float, cfg: ArrayConfig, phase_bits: in
     offsets = -b + delta * np.arange(g_axis)
     u_values = np.clip(seed_u + offsets, -1.0, 1.0)
     v_values = np.clip(seed_v + offsets, -1.0, 1.0)
+    # not np.unique: its first call imports numpy.ma, in every forked worker
     for vals in (u_values, v_values):
-        if g_axis >= 2 and len(np.unique(vals)) < 2:
+        if g_axis >= 2 and not vals.max() > vals.min():
             raise ValueError("candidate grid degenerates to a point after clipping")
     uu, vv = np.meshgrid(u_values, v_values, indexing="ij")
     return CandidateSet(

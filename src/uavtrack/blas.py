@@ -1,5 +1,8 @@
 """Thread counts of the OpenBLAS libraries that numpy and scipy load.
 
+numpy maps its OpenBLAS on import; scipy's is mapped when `gpr` loads
+scipy's compiled LAPACK module, which links it.
+
 The simulate path calls LAPACK on matrices of a few dozen rows, where a
 second BLAS thread saves no wall time: it wakes for a few calls and then
 spins between them, doubling CPU time per row. Campaigns therefore run
@@ -43,8 +46,9 @@ class Pool(NamedTuple):
 def openblas_pools() -> tuple[Pool, ...]:
     """Every OpenBLAS mapped into this process, found once per process.
 
-    Reads /proc/self/maps, so numpy and scipy must be imported first (the
-    simulate path imports both). Returns () where there is no such file or
+    Reads /proc/self/maps, so it finds only what is mapped at its first
+    call: importing `uavtrack.gpr` maps both, numpy's OpenBLAS and, through
+    gpr's LAPACK load, scipy's. Returns () where there is no such file or
     no OpenBLAS, so callers then leave threading alone.
     """
     try:

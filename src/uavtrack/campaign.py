@@ -19,6 +19,9 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+# loaded here, though only workers draw: a module a forked worker imports
+# is imported again by every worker of every campaign
+from numpy.random import Generator, Philox, SeedSequence
 
 from .beamforming import build_precoder, steer_weights
 from .blas import one_blas_thread
@@ -91,9 +94,9 @@ SUMMARY_HEADER = [
 _SUMMARY_INT_COLUMNS = ("schema_version", "phase_bits", "block", "n")
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> Generator:
     """Philox generator keyed by the master seed and a stable spawn key."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return Generator(Philox(SeedSequence(seed, spawn_key=key)))
 
 
 @dataclass(frozen=True)

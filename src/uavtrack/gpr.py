@@ -15,10 +15,14 @@ tests.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
+import scipy
 
 __all__ = [
     "Hyperparams",
@@ -33,6 +37,34 @@ __all__ = [
     "posterior",
     "posterior_mean_gradient",
 ]
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file beside scipy.linalg.
+
+    Importing it through scipy.linalg would run that package's init, whose
+    array-API layer loads about 300 modules (numpy.f2py, numpy.testing,
+    numpy.ma, ...) that the GP never calls. The routines are the very
+    objects scipy.linalg.lapack exports: an extension module is
+    initialized once per process, and every later load shares its
+    functions. sys.modules is left as it was found.
+    """
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    path = os.path.join(where, "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no scipy LAPACK module _flapack{EXTENSION_SUFFIXES[0]} in {where}")
+    name = "scipy.linalg._flapack"
+    known = name in sys.modules
+    spec = spec_from_file_location(name, path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not known:  # creating the module registered it, without its package
+        sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dtrtri, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dtrtrs
 
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-6

@@ -8,6 +8,7 @@ estimator.
 """
 
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from uavtrack.metrics import beam_gain, realized_gain
 from uavtrack.tracking import EstimatorConfig, baseline_codebook
 
 CFG = ArrayConfig()
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 QUIET = LinkBudget(es=1.0, snr_db=300.0)
 
 
@@ -368,13 +370,7 @@ def test_criterion_9_gain_holds_when_sensor_data_is_absent():
     # flight sensor data is absent". With t_gps at the run's length only
     # block 0 has a fix, so gps_only dead-reckons from there on.
     t0 = time.perf_counter()
-    cfg = ScenarioConfig(
-        run_trials=8,
-        run_blocks=100,
-        run_schemes=("hybrid_gpr", "gps_only"),
-        link_snr_db=(10.0,),
-        schedule_t_gps=1.0,
-    )
+    cfg = ScenarioConfig.from_file(str(CONFIGS / "gps_outage.conf")).override(run_trials=8)
     assert [k for k in range(cfg.run_blocks) if cfg.schedule().gps_due(k)] == [0]
     # the last quarter's even blocks: odd blocks steer the UAV precoder from a
     # navigation reading one block old, which costs both schemes alike

@@ -94,6 +94,20 @@ def test_candidate_grid_clips_to_unit_interval():
         candidate_set(1.5, 0.0, CFG, 6)
 
 
+@pytest.mark.parametrize(
+    "seed_u, degenerate",
+    [(1.2, False), (-1.2, False), (1.5, True), (-1.5, True), (math.inf, True), (math.nan, True)],
+)
+def test_candidate_grid_degenerates_when_one_value_is_left(seed_u, degenerate):
+    # the box reaches 0.25 past the seed: 1.2 keeps a strip inside [-1, 1],
+    # 1.5 clips every value onto the edge, and a NaN seed has no value at all
+    if degenerate:
+        with pytest.raises(ValueError, match="degenerates"):
+            candidate_set(seed_u, 0.0, CFG, 6)
+    else:
+        assert len(np.unique(candidate_set(seed_u, 0.0, CFG, 6).u_values)) >= 2
+
+
 def test_candidate_points_row_major():
     c = candidate_set(0.1, -0.2, CFG, 6)
     pts = c.points
