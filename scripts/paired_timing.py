@@ -10,12 +10,19 @@ Each pass runs one campaign of a benchmark workload (bench/workloads.py)
 through run_campaign, summary_rows, write_trace_csv and write_summary_csv;
 pass i of both versions uses the same campaign seed. The versions alternate,
 and the one that goes first alternates from pair to pair, so that drift of
-the machine falls on both. All passes run inside one_blas_thread().
+the machine falls on both.
+
+All passes run inside one_blas_thread(), so no pass is followed by the
+restore of OpenBLAS's thread counts, whose restarted pools spin after a
+forked pass and slow what the process runs next (the benchmark's speed
+probe among it). The timings therefore show changes on the worker side
+apart from that post-pass effect.
 
 Printed: the median CPU time per pass of each version (this process and
-its joined workers; run under `taskset -c 0` for a serial run), the median
-of the per-pair ratios new / old, the number of pairs the new version won,
-and the number of pairs whose trace.csv bytes were equal.
+its joined workers; run under `taskset -c 0` for a serial run) and its
+median wall time per pass, the medians of the per-pair ratios new / old
+of both, the number of pairs the new version won on CPU time, and the
+number of pairs whose trace.csv bytes were equal.
 
 Separate runs of the same code on a shared machine can differ by half their
 time, which hides a change of a few percent; paired passes in one process
@@ -72,6 +79,7 @@ class Version:
         importlib.import_module(name + ".config")
         self.out = os.path.join(tmp, "out_" + name)
         self.cpu: list[float] = []
+        self.wall: list[float] = []
 
     def run_pass(self, workload: str, seed: int, trials: int) -> bytes:
         """One timed pass; returns the trace.csv bytes."""
@@ -79,11 +87,12 @@ class Version:
             cfg = load(workload, seed, trials)
         trace = os.path.join(self.out, "trace.csv")
         gc.collect()
-        t0 = _cpu_s()
+        t0, w0 = _cpu_s(), time.perf_counter()
         result = self.campaign.run_campaign(cfg)
         summary = result.summary_rows()
         self.campaign.write_trace_csv(trace, result)
         self.campaign.write_summary_csv(os.path.join(self.out, "summary.csv"), summary)
+        self.wall.append(time.perf_counter() - w0)
         self.cpu.append(_cpu_s() - t0)
         with open(trace, "rb") as f:
             return f.read()
@@ -122,11 +131,16 @@ def main(argv=None) -> int:
                 same += traces[old] == traces[new]
 
     ratios = [b / a for a, b in zip(old.cpu, new.cpu)]
+    wall_ratios = [b / a for a, b in zip(old.wall, new.wall)]
     wins = sum(b < a for a, b in zip(old.cpu, new.cpu))
     print(f"workload {args.workload}, {trials} trial(s) per pass, {args.passes} passes each")
-    print(f"  old  median CPU per pass {1e3 * statistics.median(old.cpu):9.2f} ms")
-    print(f"  new  median CPU per pass {1e3 * statistics.median(new.cpu):9.2f} ms")
+    for name, v in (("old", old), ("new", new)):
+        print(
+            f"  {name}  median CPU per pass {1e3 * statistics.median(v.cpu):9.2f} ms,"
+            f" wall {1e3 * statistics.median(v.wall):9.2f} ms"
+        )
     print(f"  median per-pass ratio new/old {statistics.median(ratios):.4f}")
+    print(f"  median per-pass wall ratio new/old {statistics.median(wall_ratios):.4f}")
     print(f"  new faster in {wins}/{args.passes} pairs; trace.csv equal in {same}/{args.passes}")
     return 0
 

@@ -130,6 +130,14 @@ def candidate_set(seed_u: float, seed_v: float, cfg: ArrayConfig, phase_bits: in
 
 
 def grid_weights(cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None = None) -> np.ndarray:
-    """Stack of beams for every grid point, ordered like cands.points."""
-    pts = cands.points
-    return steer_weights(pts[:, 0], pts[:, 1], cfg, phase_bits)
+    """Stack of beams for every grid point, ordered like cands.points.
+
+    Built as the outer product of the per-axis responses, the same
+    products steer_weights forms point by point, so the stack is bitwise
+    steer_weights on cands.points.
+    """
+    a = steering_ula(cands.u_values, cfg.nx)[:, None, :, None] * steering_ula(
+        cands.v_values, cfg.ny
+    )[None, :, None, :]
+    w = a.reshape(cands.size, cfg.n_ground) / math.sqrt(cfg.n_ground)
+    return w if phase_bits is None else quantize_phases(w, phase_bits)

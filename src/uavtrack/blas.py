@@ -1,7 +1,10 @@
-"""Thread counts of the OpenBLAS libraries that numpy and scipy load.
+"""The native libraries the simulate path calls: scipy's LAPACK routines,
+and the thread counts of the OpenBLAS libraries that numpy and scipy load.
 
-numpy maps its OpenBLAS on import; scipy's is mapped when `gpr` loads
-scipy's compiled LAPACK module, which links it.
+Importing this module loads scipy's compiled LAPACK module, which links
+scipy's OpenBLAS and imports numpy, which maps numpy's. So both are mapped
+before `openblas_pools()` first reads the process's mappings, whatever
+the caller imported before.
 
 The simulate path calls LAPACK on matrices of a few dozen rows, where a
 second BLAS thread saves no wall time: it wakes for a few calls and then
@@ -19,10 +22,46 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import sys
 from contextlib import contextmanager
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from typing import Callable, Iterator, NamedTuple
 
-__all__ = ["Pool", "openblas_pools", "one_blas_thread"]
+__all__ = ["Pool", "openblas_pools", "one_blas_thread", "dpotrf", "dpotrs", "dtrtri", "dtrtrs"]
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file beside scipy.linalg.
+
+    scipy is located without running its package init, and importing the
+    module through scipy.linalg would run that package's init too, whose
+    array-API layer loads about 300 modules (numpy.f2py, numpy.testing,
+    numpy.ma, ...) that the GP never calls. The routines are the very
+    objects scipy.linalg.lapack exports: an extension module is
+    initialized once per process, and every later load shares its
+    functions. sys.modules is left as it was found.
+    """
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed; uavtrack needs its LAPACK module")
+    where = os.path.join(spec.submodule_search_locations[0], "linalg")
+    path = os.path.join(where, "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no scipy LAPACK module _flapack{EXTENSION_SUFFIXES[0]} in {where}")
+    name = "scipy.linalg._flapack"
+    known = name in sys.modules
+    spec = spec_from_file_location(name, path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not known:  # creating the module registered it, without its package
+        sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dtrtri, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri, _flapack.dtrtrs
 
 # thread-count getters as exported by the scipy-openblas wheels (64-bit
 # integer build for numpy, 32-bit for scipy) and by a plain OpenBLAS; each
@@ -47,9 +86,9 @@ def openblas_pools() -> tuple[Pool, ...]:
     """Every OpenBLAS mapped into this process, found once per process.
 
     Reads /proc/self/maps, so it finds only what is mapped at its first
-    call: importing `uavtrack.gpr` maps both, numpy's OpenBLAS and, through
-    gpr's LAPACK load, scipy's. Returns () where there is no such file or
-    no OpenBLAS, so callers then leave threading alone.
+    call; importing this module has mapped both, numpy's OpenBLAS and
+    scipy's. Returns () where there is no such file or no OpenBLAS, so
+    callers then leave threading alone.
     """
     try:
         with open("/proc/self/maps") as f:

@@ -15,6 +15,9 @@ import csv
 import itertools
 import operator
 import os
+import pickle
+import select
+import signal
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -302,6 +305,105 @@ def _units(cfg: ScenarioConfig, cpus: int) -> list[tuple[int, range]]:
     ]
 
 
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, set as the cause of what it raised."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _work(w: int, cfg: ScenarioConfig, units, first: int, step: int) -> None:
+    """A forked worker's share: units first, first + step, ... of the campaign.
+
+    Writes one pickled message to the pipe end w: the rows of every unit,
+    or the index, exception and traceback of the first unit that raised.
+    """
+    out = []
+    for i in range(first, len(units), step):
+        try:
+            out.append(_unit_rows(cfg, *units[i]))
+        except Exception as e:
+            import traceback  # loaded by a failing worker only: 3 ms of every start-up
+
+            out = (i, e, traceback.format_exc())
+            break
+    with open(w, "wb") as f:
+        pickle.dump(out, f)
+
+
+def _lost_worker(j: int, status: int, share) -> str:
+    """The error for worker j, which ended without reporting: how it ended, and its units."""
+    code = os.waitstatus_to_exitcode(status)
+    how = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exit status {code}"
+    names = ", ".join(f"trial {t} blocks {b.start}-{b[-1]}" for t, b in share)
+    return f"campaign worker {j} ended by {how} before reporting its units: {names}"
+
+
+def _fork_join(cfg: ScenarioConfig, units, workers: int) -> list:
+    """Every unit's rows, in unit order, from `workers` forked children.
+
+    Child j runs units j, j + workers, ... (see _work). The parent reads
+    every pipe as data comes, and reaps every child before it returns or
+    raises, killing first any child still running. A child that ends
+    without a whole message is an error at once. Of the units that raised,
+    the lowest one's exception is raised, with its worker's traceback as
+    the cause.
+    """
+    pids, ends = [], []  # worker j's pid (0 once reaped) and its pipe's read end
+    try:
+        for j in range(workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # never return into the caller's stack
+                status = 1
+                try:
+                    for fd in [r, *ends]:
+                        os.close(fd)
+                    _work(w, cfg, units, j, workers)
+                    status = 0
+                except Exception:  # nothing sent: the parent names this worker's units
+                    import traceback
+
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(w)
+            pids.append(pid)
+            ends.append(r)
+        poller = select.poll()
+        for r in ends:
+            poller.register(r)
+        chunks = [[] for _ in ends]
+        per_unit, raised = [None] * len(units), []
+        while any(pids):
+            for r, _ in poller.poll():
+                j = ends.index(r)
+                data = os.read(r, 1 << 16)
+                if data:
+                    chunks[j].append(data)
+                    continue
+                poller.unregister(r)
+                _, status = os.waitpid(pids[j], 0)
+                pids[j] = 0
+                if status != 0:
+                    raise RuntimeError(_lost_worker(j, status, units[j::workers]))
+                out = pickle.loads(b"".join(chunks[j]))
+                if isinstance(out, tuple):
+                    raised.append(out)
+                else:
+                    per_unit[j::workers] = out
+        if raised:
+            _, e, tb = min(raised, key=operator.itemgetter(0))
+            raise e from _WorkerTraceback(tb)
+        return per_unit
+    finally:
+        for r, pid in zip(ends, pids):
+            os.close(r)
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
     """Run trials x sweep x schemes with paired noise, in a fixed order.
 
@@ -317,28 +419,21 @@ def run_campaign(cfg: ScenarioConfig) -> CampaignResult:
     """
     units = _units(cfg, _cpus())
     workers = _worker_count(len(units))
-    trials, spans = zip(*units)
     with one_blas_thread():
         if workers == 1:
-            per_unit = list(map(_unit_rows, itertools.repeat(cfg), trials, spans))
+            per_unit = [_unit_rows(cfg, trial, blocks) for trial, blocks in units]
         else:
-            # imported here: multiprocessing adds about 8 ms to the start of
-            # every interpreter, and one-unit runs never need it
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            # Workers fork, not spawn, inside one_blas_thread(), so they
-            # inherit the loaded modules and the one BLAS thread. They must
-            # not set it again: OpenBLAS stops its thread pools at fork, a
-            # setter call in the child starts them again, and their idle
-            # threads spin, which doubled a worker's CPU time. Leaving the
-            # block joins every worker, so their CPU time is in
-            # RUSAGE_CHILDREN and none of them runs after this returns.
-            with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-                per_unit = list(pool.map(_unit_rows, itertools.repeat(cfg), trials, spans))
+            # Workers fork inside one_blas_thread(), so they inherit the
+            # loaded modules and the one BLAS thread. They must not set it
+            # again: OpenBLAS stops its thread pools at fork, a setter call
+            # in the child starts them again, and their idle threads spin,
+            # which doubled a worker's CPU time. _fork_join reaps every
+            # worker, so their CPU time is in RUSAGE_CHILDREN and none of
+            # them runs after this returns.
+            per_unit = _fork_join(cfg, units, workers)
     # a unit's rows are a list per chain; join a trial's spans chain by chain
     rows = []
-    for _, group in itertools.groupby(zip(trials, per_unit), key=operator.itemgetter(0)):
+    for _, group in itertools.groupby(zip(units, per_unit), key=lambda u: u[0][0]):
         for spans_of_chain in zip(*(chain_rows for _, chain_rows in group)):
             rows.extend(itertools.chain(*spans_of_chain))
     return CampaignResult(config=cfg, rows=tuple(rows))

@@ -178,6 +178,22 @@ def test_grid_weights_matches_per_point_construction():
         assert np.array_equal(stack, ref)
 
 
+@pytest.mark.parametrize("bits", [4, 5, 6, 7, 8])
+def test_grid_weights_from_axis_responses_equal_steer_weights_on_points(bits):
+    # random seeds and arrays, some seeds past the horizon so the grid clips
+    rng = np.random.default_rng(bits)
+    for _ in range(40):
+        cfg = ArrayConfig(*rng.integers(2, 9, 2), 8)
+        u, v = rng.uniform(-1.05, 1.05, 2)
+        try:
+            c = candidate_set(u, v, cfg, bits)
+        except ValueError:  # clipped down to one value
+            continue
+        for q in (None, bits):
+            ref = steer_weights(c.points[:, 0], c.points[:, 1], cfg, q)
+            assert np.array_equal(grid_weights(c, cfg, q), ref)
+
+
 def test_array_valued_cosines_equal_scalar_calls():
     rng = np.random.default_rng(4)
     u, v = rng.uniform(-0.9, 0.9, (2, 3, 5))

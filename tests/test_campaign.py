@@ -3,8 +3,10 @@ import dataclasses
 import io
 import math
 import os
+import signal
 import stat
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +272,59 @@ def test_scheme_error_names_its_chain_then_its_trial(monkeypatch, workers):
         "in scheme hybrid_gpr, snr_db 20.0, phase_bits 6, block 3",
         "in trial 0 of run.seed 17",
     ]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_campaign_leaves_no_child(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    assert len(run_campaign(ScenarioConfig(run_trials=3, run_blocks=2)).rows) == 12
+    _assert_no_child_left()
+
+
+def test_killed_worker_raises_at_once_names_its_units_and_leaves_no_child(monkeypatch):
+    def kill_worker_of_trial_1(cfg, trial, blocks):
+        if trial == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(20)  # trial 0's worker is still running when trial 1's dies
+        return [[]]
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(campaign, "_run_trial", kill_worker_of_trial_1)
+    cfg = ScenarioConfig(run_trials=4, run_blocks=1, run_schemes=("gps_only",))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError) as info:
+        run_campaign(cfg)
+    assert time.monotonic() - t0 < 10
+    message = str(info.value)
+    assert message.startswith("campaign worker 1 ended by signal 9 ")
+    assert message.endswith("before reporting its units: trial 1 blocks 0-0, trial 3 blocks 0-0")
+    _assert_no_child_left()
+
+
+def test_lowest_failing_unit_raises_with_its_notes_and_worker_traceback(monkeypatch):
+    def fail_from_trial_1(cfg, trial, blocks):
+        if trial == 1:
+            time.sleep(0.5)  # trial 2's error reaches the parent first
+        if trial >= 1:
+            raise ConfigError(f"trial {trial} failed")
+        return [[]]
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(campaign, "_run_trial", fail_from_trial_1)
+    cfg = ScenarioConfig(run_trials=4, run_blocks=1, run_schemes=("gps_only",), run_seed=17)
+    with pytest.raises(ConfigError) as info:
+        run_campaign(cfg)
+    assert str(info.value) == "trial 1 failed"
+    assert info.value.__notes__ == ["in trial 1 of run.seed 17"]
+    # the worker's traceback, as the cause
+    assert isinstance(info.value.__cause__, campaign._WorkerTraceback)
+    assert "in fail_from_trial_1" in str(info.value.__cause__)
+    assert "trial 1 failed" in str(info.value.__cause__)
+    _assert_no_child_left()
 
 
 def test_fix_block_grid_is_built_once_per_trial(monkeypatch):

@@ -1,8 +1,8 @@
 """What the simulate path imports, checked in fresh interpreters.
 
-`import uavtrack.campaign` loads numpy, scipy's top-level package and
-scipy's compiled LAPACK module, and not scipy.linalg, whose package init
-would load about 300 more modules. Campaign workers are forked from the
+`import uavtrack.campaign` loads numpy and scipy's compiled LAPACK
+module, and neither scipy's package init nor scipy.linalg's, which would
+load about 300 more modules. Campaign workers are forked from the
 parent, so everything a unit of work needs must already be loaded there:
 a worker that imports a module pays for it on every pass.
 """
@@ -38,7 +38,11 @@ def test_campaign_import_loads_lapack_without_scipy_linalg():
         from uavtrack import gpr
         from uavtrack.blas import one_blas_thread, openblas_pools
 
-        print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
+        print(
+            "scipy" in sys.modules,
+            "scipy.linalg" in sys.modules,
+            "scipy.linalg._flapack" in sys.modules,
+        )
         with one_blas_thread():
             print([pool.get() for pool in openblas_pools()])
         import scipy.linalg.lapack as lapack
@@ -48,8 +52,9 @@ def test_campaign_import_loads_lapack_without_scipy_linalg():
         """
     )
     loaded, counts, same = out.splitlines()
-    # neither scipy.linalg nor a stray entry for the module gpr loaded itself
-    assert loaded == "False False"
+    # neither scipy's package init, nor scipy.linalg's, nor a stray entry for
+    # the module blas loaded itself
+    assert loaded == "False False False"
     # scipy's OpenBLAS is mapped as in this process, and is set to one thread
     assert counts == repr([1] * len(openblas_pools()))
     # gpr calls the routines scipy.linalg.lapack exports, not copies of them
@@ -91,6 +96,35 @@ def test_forked_worker_imports_nothing():
         with os.fdopen(r) as f:
             print(f.read())
         os.waitpid(pid, 0)
+        """
+    )
+    assert out.strip() == "[]"
+
+
+def test_blas_import_alone_maps_every_openblas():
+    # openblas_pools() reads the mappings once; importing blas alone must
+    # already have mapped what the simulate path maps
+    out = _fresh(
+        """
+        from uavtrack.blas import openblas_pools
+
+        print(len(openblas_pools()))
+        """
+    )
+    assert int(out) == len(openblas_pools()) > 0
+
+
+def test_forked_campaign_loads_no_process_pool():
+    out = _fresh(
+        """
+        import sys
+        from uavtrack import campaign
+        from uavtrack.config import ScenarioConfig
+
+        campaign._worker_count = lambda units: min(2, units)  # fork on any CPU count
+        cfg = ScenarioConfig(run_trials=2, run_blocks=2, run_schemes=("hybrid_gpr", "gps_only"))
+        assert len(campaign.run_campaign(cfg).rows) == 8
+        print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
         """
     )
     assert out.strip() == "[]"

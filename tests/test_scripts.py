@@ -92,4 +92,6 @@ def test_paired_timing_compares_a_tree_with_itself():
     lines = done.stdout.splitlines()
     assert lines[0] == "workload snr_sweep, 1 trial(s) per pass, 2 passes each"
     assert "median per-pass ratio new/old" in done.stdout
+    assert "median per-pass wall ratio new/old" in done.stdout
+    assert all(" ms, wall " in line for line in lines[1:3])
     assert lines[-1].endswith("trace.csv equal in 2/2")
