@@ -12,6 +12,8 @@ Each campaign writes trace.csv and summary.csv under OUT_DIR/<campaign>/:
   estimation_sweep   configs/estimation_sweep.conf at 30 trials
   phase_bits         analog_gpr and codebook_max at 4-8 phase bits and
                      10 and 20 dB, 12 trials of the estimation sweep
+  gps_outage         configs/gps_outage.conf at 4 trials: 100 blocks and
+                     one GPS fix, so hybrid_gpr refits 99 blocks in a row
 
 The CSVs hold 12 significant digits, which hide the last bits of a float,
 so each campaign also gets one line ending in rows.float64: the sha256 of
@@ -42,6 +44,7 @@ _DEGRADED = dict(sensors_sigma_gps_m=5.0, sensors_sigma_ins_m=5.0, sensors_sigma
 def campaigns() -> dict[str, ScenarioConfig]:
     """Campaign name to config, in run order."""
     sweep = ScenarioConfig.from_file(os.path.join(ROOT, "configs", "estimation_sweep.conf"))
+    outage = ScenarioConfig.from_file(os.path.join(ROOT, "configs", "gps_outage.conf"))
     criterion7 = ScenarioConfig(
         run_trials=40, run_blocks=20, run_schemes=("hybrid_gpr", "gps_only"),
         link_snr_db=(10.0,), **_DEGRADED,
@@ -58,6 +61,7 @@ def campaigns() -> dict[str, ScenarioConfig]:
             run_trials=12, run_schemes=("analog_gpr", "codebook_max"),
             link_snr_db=(10.0, 20.0), estimator_phase_bits=(4, 5, 6, 7, 8),
         ),
+        "gps_outage": outage.override(run_trials=4),
     }
 
 

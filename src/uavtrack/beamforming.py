@@ -69,7 +69,8 @@ def quantize_phases(w: np.ndarray, phase_bits: int) -> np.ndarray:
 def steer_weights(u0, v0, cfg: ArrayConfig, phase_bits: int | None = None) -> np.ndarray:
     """Unit-norm ground beam pointed at (u0, v0), optionally phase-quantized.
 
-    Array-valued cosines give one beam per entry, along the last axis.
+    Array-valued cosines broadcast against each other and give one beam
+    per entry, along the last axis.
     """
     w = steering_upa(u0, v0, cfg.nx, cfg.ny) / math.sqrt(cfg.n_ground)
     if phase_bits is not None:
@@ -132,12 +133,9 @@ def candidate_set(seed_u: float, seed_v: float, cfg: ArrayConfig, phase_bits: in
 def grid_weights(cands: CandidateSet, cfg: ArrayConfig, phase_bits: int | None = None) -> np.ndarray:
     """Stack of beams for every grid point, ordered like cands.points.
 
-    Built as the outer product of the per-axis responses, the same
-    products steer_weights forms point by point, so the stack is bitwise
-    steer_weights on cands.points.
+    One steer_weights call on the per-axis cosines, so each axis response
+    is formed once per grid value. A named function still, because the
+    benchmark's layer tracer wraps tracking.grid_weights.
     """
-    a = steering_ula(cands.u_values, cfg.nx)[:, None, :, None] * steering_ula(
-        cands.v_values, cfg.ny
-    )[None, :, None, :]
-    w = a.reshape(cands.size, cfg.n_ground) / math.sqrt(cfg.n_ground)
-    return w if phase_bits is None else quantize_phases(w, phase_bits)
+    w = steer_weights(cands.u_values[:, None], cands.v_values[None, :], cfg, phase_bits)
+    return w.reshape(cands.size, cfg.n_ground)

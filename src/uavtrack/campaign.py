@@ -19,7 +19,7 @@ import pickle
 import select
 import signal
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 # loaded here, though only workers draw: a module a forked worker imports
@@ -312,23 +312,34 @@ class _WorkerTraceback(Exception):
         return f'\n"""\n{self.args[0]}"""'
 
 
-def _work(w: int, cfg: ScenarioConfig, units, first: int, step: int) -> None:
-    """A forked worker's share: units first, first + step, ... of the campaign.
+def _work(w: int, ends, cfg: ScenarioConfig, units, first: int, step: int) -> NoReturn:
+    """A forked worker: runs units first, first + step, ... and exits.
 
-    Writes one pickled message to the pipe end w: the rows of every unit,
+    Sends one pickled message to the pipe end w: the rows of every unit,
     or the index, exception and traceback of the first unit that raised.
+    It never returns into the caller's stack.
     """
-    out = []
-    for i in range(first, len(units), step):
-        try:
-            out.append(_unit_rows(cfg, *units[i]))
-        except Exception as e:
-            import traceback  # loaded by a failing worker only: 3 ms of every start-up
+    try:
+        for fd in ends:  # the parent's read ends, this worker's own among them
+            os.close(fd)
+        out = []
+        for i in range(first, len(units), step):
+            try:
+                out.append(_unit_rows(cfg, *units[i]))
+            except Exception as e:
+                import traceback  # loaded by a failing worker only: 3 ms of every start-up
 
-            out = (i, e, traceback.format_exc())
-            break
-    with open(w, "wb") as f:
-        pickle.dump(out, f)
+                out = (i, e, traceback.format_exc())
+                break
+        with open(w, "wb") as f:
+            pickle.dump(out, f)
+        os._exit(0)
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(1)  # nothing sent: the parent names this worker's units
 
 
 def _lost_worker(j: int, status: int, share) -> str:
@@ -353,23 +364,13 @@ def _fork_join(cfg: ScenarioConfig, units, workers: int) -> list:
     try:
         for j in range(workers):
             r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # never return into the caller's stack
-                status = 1
-                try:
-                    for fd in [r, *ends]:
-                        os.close(fd)
-                    _work(w, cfg, units, j, workers)
-                    status = 0
-                except Exception:  # nothing sent: the parent names this worker's units
-                    import traceback
-
-                    traceback.print_exc()
-                finally:
-                    os._exit(status)
-            os.close(w)
-            pids.append(pid)
             ends.append(r)
+            try:
+                pids.append(os.fork())  # one statement: the outer finally reaps every child
+                if pids[j] == 0:
+                    _work(w, ends, cfg, units, j, workers)  # exits
+            finally:  # in the parent, whether the fork succeeded or raised
+                os.close(w)
         poller = select.poll()
         for r in ends:
             poller.register(r)
@@ -397,11 +398,11 @@ def _fork_join(cfg: ScenarioConfig, units, workers: int) -> list:
             raise e from _WorkerTraceback(tb)
         return per_unit
     finally:
-        for r, pid in zip(ends, pids):
+        for r in ends:
             os.close(r)
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_campaign(cfg: ScenarioConfig) -> CampaignResult:

@@ -170,10 +170,10 @@ def _ascend(x0: np.ndarray, cands: CandidateSet, est: EstimatorConfig, budget: L
     """Ascent shared by the iterative schemes.
 
     Each iteration calls probe(x) -> (value, direction) at the iterate and
-    steps to x + eta * direction, projected into the candidate box and the
-    unit disk. Stops when consecutive values differ by less than
-    epsilon_scale * sqrt(es), or at the iteration cap. Returns the final
-    iterate and the iteration count.
+    steps to x + eta * direction, clipped to the candidate box, then into
+    the unit disk (which near the horizon can leave the box). Stops when
+    consecutive values differ by less than epsilon_scale * sqrt(es), or at
+    the iteration cap. Returns the final iterate and the iteration count.
     """
     eps = est.epsilon_scale * math.sqrt(budget.es)
     x, t, f_prev = x0, 0, None
@@ -209,7 +209,7 @@ def refine_hybrid(
     appends), and moves the iterate along the predictive-mean gradient.
     Stops when consecutive probe magnitudes differ by less than the
     threshold, or at the iteration cap. The iterate stays inside the
-    candidate box and the unit disk.
+    unit disk, after a clip to the candidate box.
     """
     cands, beams = _grid(seed, cfg, est, grids, "plain")
     if cands is None:

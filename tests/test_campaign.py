@@ -285,6 +285,25 @@ def test_forked_campaign_leaves_no_child(monkeypatch):
     _assert_no_child_left()
 
 
+def test_failed_fork_raises_and_leaves_no_child_and_no_descriptor(monkeypatch):
+    real_fork, forked = os.fork, []
+
+    def fork_once():  # as at the process limit: the second worker cannot start
+        if forked:
+            raise BlockingIOError("fork refused")
+        forked.append(real_fork())
+        return forked[-1]
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork_once)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        run_campaign(ScenarioConfig(run_trials=2, run_blocks=1, run_schemes=("gps_only",)))
+    assert len(forked) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    _assert_no_child_left()
+
+
 def test_killed_worker_raises_at_once_names_its_units_and_leaves_no_child(monkeypatch):
     def kill_worker_of_trial_1(cfg, trial, blocks):
         if trial == 1:

@@ -54,9 +54,15 @@ def test_figure_script_writes_its_tables(tmp_path, script, figures):
 def test_reference_campaigns_are_valid_configs():
     campaigns = _load(ROOT / "scripts" / "reference_runs.py").campaigns()
     assert list(campaigns) == [
-        "golden", "criterion7", "criterion7_single", "estimation_sweep", "phase_bits"
+        "golden", "criterion7", "criterion7_single", "estimation_sweep", "phase_bits",
+        "gps_outage",
     ]
     assert all(isinstance(cfg, ScenarioConfig) for cfg in campaigns.values())
+    # the longest hybrid chains: one fix, then 99 blocks refitted from it
+    outage = campaigns["gps_outage"]
+    assert (outage.run_trials, outage.run_blocks) == (4, 100)
+    assert outage.schedule().gps_every >= outage.run_blocks
+    assert "hybrid_gpr" in outage.run_schemes
     # the golden campaign is the one the golden-trace test replays
     assert campaigns["golden"] == _load(ROOT / "tests" / "test_golden_trace.py").CFG
 
