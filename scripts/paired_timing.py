@@ -18,11 +18,14 @@ forked pass and slow what the process runs next (the benchmark's speed
 probe among it). The timings therefore show changes on the worker side
 apart from that post-pass effect.
 
-Printed: the median CPU time per pass of each version (this process and
-its joined workers; run under `taskset -c 0` for a serial run) and its
-median wall time per pass, the medians of the per-pair ratios new / old
-of both, the number of pairs the new version won on CPU time, and the
-number of pairs whose trace.csv bytes were equal.
+Printed: the first quartile, median and third quartile of the CPU time
+per pass of each version (this process and its joined workers; run under
+`taskset -c 0` for a serial run) and of its wall time per pass, the
+medians of the per-pair ratios new / old of both, the number of pairs the
+new version won on CPU time and on wall time, and the number of pairs
+whose trace.csv bytes were equal. A speed-up is shown when the new version
+wins at least nine pairs in ten and its median lies further from the old
+median than the old quartiles lie from each other.
 
 Separate runs of the same code on a shared machine can differ by half their
 time, which hides a change of a few percent; paired passes in one process
@@ -98,6 +101,12 @@ class Version:
             return f.read()
 
 
+def _quartiles_ms(seconds: list[float]) -> str:
+    """First quartile, median and third quartile, in milliseconds."""
+    q = statistics.quantiles(seconds, n=4, method="inclusive") if len(seconds) > 1 else seconds * 3
+    return "  ".join(f"{label} {1e3 * v:9.2f}" for label, v in zip(("Q1", "median", "Q3"), q))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", help="source directory holding the old uavtrack package")
@@ -133,15 +142,16 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(old.cpu, new.cpu)]
     wall_ratios = [b / a for a, b in zip(old.wall, new.wall)]
     wins = sum(b < a for a, b in zip(old.cpu, new.cpu))
+    wall_wins = sum(b < a for a, b in zip(old.wall, new.wall))
     print(f"workload {args.workload}, {trials} trial(s) per pass, {args.passes} passes each")
     for name, v in (("old", old), ("new", new)):
-        print(
-            f"  {name}  median CPU per pass {1e3 * statistics.median(v.cpu):9.2f} ms,"
-            f" wall {1e3 * statistics.median(v.wall):9.2f} ms"
-        )
+        print(f"  {name}  CPU per pass {_quartiles_ms(v.cpu)} ms, wall {_quartiles_ms(v.wall)} ms")
     print(f"  median per-pass ratio new/old {statistics.median(ratios):.4f}")
     print(f"  median per-pass wall ratio new/old {statistics.median(wall_ratios):.4f}")
-    print(f"  new faster in {wins}/{args.passes} pairs; trace.csv equal in {same}/{args.passes}")
+    print(
+        f"  new faster in {wins}/{args.passes} pairs on CPU, {wall_wins}/{args.passes} on wall;"
+        f" trace.csv equal in {same}/{args.passes}"
+    )
     return 0
 
 

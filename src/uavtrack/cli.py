@@ -2,9 +2,10 @@
 
 Two subcommands: `simulate` runs a campaign from a config file and writes
 trace.csv plus summary.csv into the output directory; `tables` turns a
-summary into a per-figure CSV. Options fall back to UAVTRACK_* environment
-variables before their built-in defaults. Exit codes: 0 success, 2 for
-configuration or validation problems, 3 for file system problems.
+summary into a per-figure CSV. Options other than tables --out fall back
+to UAVTRACK_* environment variables before their built-in defaults. Exit
+codes: 0 success, 2 for configuration or validation problems, 3 for file
+system problems.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavtrack",
         description="Link-level UAV beam-tracking simulator",
-        epilog="Every option can be preset via UAVTRACK_<OPTION> (e.g. UAVTRACK_SEED).",
+        epilog=(
+            "Every option except tables --out can be preset via UAVTRACK_<OPTION>"
+            " (e.g. UAVTRACK_SEED)."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

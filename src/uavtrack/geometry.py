@@ -5,7 +5,8 @@ Three frames are used throughout:
 * n-frame: fixed navigation frame, x/y horizontal in meters, h up.
 * u-frame: UAV-carried frame, axes parallel to the n-frame, origin at the
   UAV antenna center.
-* a-frame: UAV body frame, rotated from the u-frame by yaw, pitch and roll.
+* a-frame: UAV body frame. The UAV flies level, so this is the u-frame
+  rotated by its heading about h.
 
 The ground station's planar array sees the UAV under the direction cosines
 (u, v); the UAV's linear array sees the ground station under the departure
@@ -17,13 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Position3",
-    "Attitude",
     "SpatialAngles",
-    "rotation_matrix",
     "arrival_angles",
     "departure_angle",
     "position_from_angles",
@@ -40,15 +37,6 @@ class Position3:
 
 
 @dataclass(frozen=True)
-class Attitude:
-    """Body attitude in radians: yaw about h, pitch about y, roll about x."""
-
-    yaw: float = 0.0
-    pitch: float = 0.0
-    roll: float = 0.0
-
-
-@dataclass(frozen=True)
 class SpatialAngles:
     """Direction cosines (u, v) at the planar array, optionally the
     departure cosine u_a at the linear array."""
@@ -56,40 +44,6 @@ class SpatialAngles:
     u: float
     v: float
     u_a: float | None = None
-
-
-def _t1(yaw: float) -> np.ndarray:
-    c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _t2(pitch: float) -> np.ndarray:
-    c, s = math.cos(pitch), math.sin(pitch)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-
-
-def _t3(roll: float) -> np.ndarray:
-    c, s = math.cos(roll), math.sin(roll)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-
-
-def rotation_matrix(att: Attitude) -> np.ndarray:
-    """Direction cosine matrix from the u-frame to the a-frame.
-
-    Composed as roll @ pitch @ yaw, each factor a single-axis rotation
-    applied to column vectors of u-frame coordinates.
-
-    Parameters
-    ----------
-    att : Attitude
-        Yaw, pitch, roll in radians.
-
-    Returns
-    -------
-    np.ndarray, shape (3, 3)
-        Orthonormal with determinant +1.
-    """
-    return _t3(att.roll) @ _t2(att.pitch) @ _t1(att.yaw)
 
 
 def arrival_angles(uav_pos: Position3, gs_pos: Position3) -> SpatialAngles:

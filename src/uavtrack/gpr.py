@@ -26,8 +26,6 @@ __all__ = [
     "FitResult",
     "GprModel",
     "kernel",
-    "log_marginal_likelihood",
-    "likelihood_gradient",
     "default_init",
     "fit_hyperparams",
     "make_model",
@@ -73,23 +71,14 @@ class FitResult:
 
 
 def kernel(xa: np.ndarray, xb: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Squared-exponential covariance matrix between two (n, 2) float arrays.
+    """Squared-exponential covariance between the (n, 2) float array xa and xb.
 
     k(x, x') = sigma_s^2 * exp(-0.5 * sum_d ((x_d - x'_d) / ell_d)^2)
+
+    An (m, 2) xb gives the (n, m) matrix. One point, shape (2,), gives the
+    (n,) column, bit for bit kernel(xa, xb[None], hp)[:, 0].
     """
-    d = xa[:, None, :] - xb[None, :, :]
-    d /= hp.lengthscales
-    d *= d
-    q = d.sum(axis=-1)
-    q *= -0.5
-    np.exp(q, out=q)
-    q *= hp.sigma_s**2
-    return q
-
-
-def _kernel_column(x: np.ndarray, point: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """kernel(x, point[None], hp)[:, 0], in the same operations."""
-    d = x - point
+    d = xa - xb if xb.ndim == 1 else xa[:, None, :] - xb[None, :, :]
     d /= hp.lengthscales
     d *= d
     q = d.sum(axis=-1)
@@ -288,26 +277,6 @@ def _unpack(hp: Hyperparams):
     return hp.sigma_s, hp.lengthscales, hp.sigma_n
 
 
-def log_marginal_likelihood(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> float:
-    """-0.5 y^T Kn^-1 y - 0.5 log|Kn| - n/2 log(2 pi), Kn = K + sigma_n^2 I."""
-    return _Objective(x, y).evaluate(*_unpack(hp))[-1]
-
-
-def likelihood_gradient(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Gradient of the log marginal likelihood in natural parameters.
-
-    For each parameter theta, 0.5 * alpha^T dK alpha - 0.5 tr(Kn^-1 dK)
-    with alpha = Kn^-1 y. Order: sigma_s, ell_u, ell_v, sigma_n. This is
-    the fit's log-space gradient, divided by the parameter values.
-    """
-    obj = _Objective(x, y)
-    k, chol, jitter, alpha, _ = obj.evaluate(*_unpack(hp))
-    g = obj.derivatives(*_unpack(hp), k, chol, jitter, alpha)[0]
-    vals = hp.as_vector()
-    # d/d sigma_n is sigma_n * tr(A), which is 0 at sigma_n = 0
-    return np.divide(g, vals, out=np.zeros_like(g), where=vals > 0.0)
-
-
 def default_init(x: np.ndarray, y: np.ndarray) -> Hyperparams:
     """Data-driven starting point: output std, half the span per axis."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -461,7 +430,7 @@ class GprModel:
         x_all = np.concatenate((self.x, x_new))
         y_all = np.append(self.y, y_new)
         _check_finite(x_new, y_all[-1:], first_row=self.n)
-        k_last = _kernel_column(x_all, x_new[0], self.hp)  # k(X, x_new), then sigma_s^2
+        k_last = kernel(x_all, x_new[0], self.hp)  # k(X, x_new), then sigma_s^2
         t = _solve_lower(self.chol, k_last[:-1])
         d2 = self.hp.sigma_s**2 + self.hp.sigma_n**2 + self.jitter - t @ t
         if d2 <= 0.0:
@@ -510,6 +479,6 @@ def posterior_mean_gradient(model: GprModel, xstar: np.ndarray) -> np.ndarray:
     if model.k_last is not None and (xstar == model.x[-1]).all():
         k_cross = model.k_last
     else:
-        k_cross = _kernel_column(model.x, xstar, model.hp)
+        k_cross = kernel(model.x, xstar, model.hp)
     diffs = (xstar - model.x) / np.asarray(model.hp.lengthscales) ** 2
     return -(diffs * k_cross[:, None]).T @ model.alpha

@@ -22,7 +22,6 @@ __all__ = [
     "normalized_gain",
     "spectral_efficiency",
     "main_lobe_limit",
-    "predicted_gain_from_mae",
 ]
 
 
@@ -73,18 +72,3 @@ def spectral_efficiency(gain: float, budget: LinkBudget) -> float:
 def main_lobe_limit(cfg: ArrayConfig) -> float:
     """First null 2 / n of the wider axis; only a MAE past it (>) gets no prediction."""
     return 2.0 / max(cfg.nx, cfg.ny)
-
-
-def predicted_gain_from_mae(mae: float, cfg: ArrayConfig) -> float:
-    """Closed-form gain at equal per-axis offsets set to the MAE.
-
-    Only meaningful inside the main lobe; offsets past main_lobe_limit are
-    rejected rather than extrapolated.
-    """
-    if mae < 0.0:
-        raise ValueError("mae must be nonnegative")
-    lim = main_lobe_limit(cfg)
-    if mae > lim:
-        raise ValueError(f"mae {mae:.4f} is outside the main lobe (limit {lim:.4f})")
-    return beam_gain(mae, mae, cfg)
-

@@ -13,27 +13,13 @@ import time
 
 import numpy as np
 
+from reference import Attitude, likelihood_gradient, log_marginal_likelihood, rotation_matrix
 from uavtrack.beamforming import candidate_set, precoder_from_angle, steer_weights
 from uavtrack.campaign import run_campaign, write_trace_csv
 from uavtrack.channel import ArrayConfig, LinkBudget, effective_channel
 from uavtrack.config import ScenarioConfig
-from uavtrack.geometry import (
-    Attitude,
-    Position3,
-    SpatialAngles,
-    arrival_angles,
-    position_from_angles,
-    rotation_matrix,
-)
-from uavtrack.gpr import (
-    Hyperparams,
-    kernel,
-    likelihood_gradient,
-    log_marginal_likelihood,
-    make_model,
-    posterior,
-    posterior_mean_gradient,
-)
+from uavtrack.geometry import Position3, SpatialAngles, arrival_angles, position_from_angles
+from uavtrack.gpr import Hyperparams, kernel, make_model, posterior, posterior_mean_gradient
 from uavtrack.metrics import beam_gain, realized_gain
 from uavtrack.tracking import EstimatorConfig, baseline_codebook
 

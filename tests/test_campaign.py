@@ -10,9 +10,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from reference import predicted_gain_from_mae
 from uavtrack import campaign, tracking
+from uavtrack.beamforming import candidate_set
 from uavtrack.campaign import (
     SCHEMA_VERSION,
     SUMMARY_HEADER,
@@ -30,8 +32,9 @@ from uavtrack.campaign import (
     write_summary_csv,
     write_trace_csv,
 )
+from uavtrack.channel import ArrayConfig
 from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
-from uavtrack.metrics import main_lobe_limit, predicted_gain_from_mae, spectral_efficiency
+from uavtrack.metrics import main_lobe_limit, spectral_efficiency
 from uavtrack.sensors import derive_velocity, ground_gps_measure
 
 
@@ -895,3 +898,61 @@ def test_campaign_result_wraps_rows():
     assert res.config is cfg
     assert len(res.rows) == 2
     assert {r.block for r in res.rows} == {0, 1}
+
+
+# Grid points per axis grow as 2^phase_bits / nx, so a 1x8 array at 7 bits
+# sweeps 82^2 points; the cap is the nominal 8x8 array's grid at 7 bits
+_FUZZ_GRID_CAP = 121
+
+
+@settings(max_examples=50, deadline=None)
+@example(nx=8, ny=8, nu=8, snr_db=300.0, phase_bits=7, horizon_dh=None, blocks=3, seed=0)
+@example(nx=1, ny=8, nu=1, snr_db=-10.0, phase_bits=4, horizon_dh=0.5, blocks=3, seed=1)
+@example(nx=8, ny=1, nu=8, snr_db=300.0, phase_bits=7, horizon_dh=5.0, blocks=3, seed=2)
+@example(nx=1, ny=1, nu=1, snr_db=10.0, phase_bits=1, horizon_dh=None, blocks=1, seed=3)
+@given(
+    nx=st.integers(1, 8),
+    ny=st.integers(1, 8),
+    nu=st.integers(1, 8),
+    snr_db=st.floats(-10.0, 300.0),
+    phase_bits=st.integers(1, 7),
+    horizon_dh=st.none() | st.floats(0.5, 5.0),
+    blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_edge_configurations_run_clean(nx, ny, nu, snr_db, phase_bits, horizon_dh, blocks, seed):
+    arr = ArrayConfig(nx=nx, ny=ny, nu=nu)
+    size = candidate_set(0.0, 0.0, arr, phase_bits).size
+    assume(size <= _FUZZ_GRID_CAP)
+    # horizon_dh meters above the station and 2-3 km out along both axes:
+    # elevations of about 0.007 to 0.1 degrees
+    geometry = {} if horizon_dh is None else dict(
+        scenario_uav_height=ScenarioConfig.scenario_gs_height + horizon_dh,
+        scenario_init_min=2000.0, scenario_init_max=3000.0,
+    )
+    cfg = ScenarioConfig(
+        array_nx=nx, array_ny=ny, array_nu=nu, link_snr_db=(snr_db,),
+        estimator_phase_bits=(phase_bits,), run_trials=1, run_blocks=blocks, run_seed=seed,
+        run_schemes=SCHEMES, **geometry,
+    )
+    # one trial of at most 3 blocks is one unit, which runs in this process;
+    # any exception, np.linalg.LinAlgError included, fails the example
+    rows = run_campaign(cfg).rows
+    assert len(rows) == blocks * len(SCHEMES)
+    pilots = nx * ny > 1 and size >= 2  # else every pilot scheme falls back to the seed
+    for r in rows:
+        assert all(math.isfinite(v) for v in dataclasses.astuple(r) if isinstance(v, float)), r
+        assert r.est_u**2 + r.est_v**2 < 1.0
+        assert 0 <= r.iterations <= cfg.estimator_max_iterations
+        measurements = {
+            "hybrid_gpr": size + r.iterations,
+            "analog_gpr": size,
+            "gps_only": 0,
+            "perturbation": 3 * r.iterations,
+            "codebook_max": size,
+        }[r.scheme]
+        fallback = (r.iterations, r.measurements) == (0, 0)
+        if r.scheme == "codebook_max":
+            assert r.iterations == 0
+        # a grid that clips to a point near the horizon falls back as well
+        assert (r.measurements == measurements and pilots) or fallback, r

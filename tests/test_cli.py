@@ -291,10 +291,12 @@ def test_tables_custom_out_path(tmp_path):
     assert target.exists()
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+    # the one option without an environment variable
+    assert "Every option except tables --out" in capsys.readouterr().out
 
 
 def test_module_entry_point():

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from uavtrack.geometry import (
-    Attitude,
-    Position3,
-    arrival_angles,
-    departure_angle,
-    position_from_angles,
-    rotation_matrix,
-)
+from reference import Attitude, rotation_matrix
+from uavtrack.geometry import Position3, arrival_angles, departure_angle, position_from_angles
 
 GS = Position3(0.0, 0.0, 25.0)
 UAV = Position3(0.0, 0.0, 200.0)  # gs - UAV is the station's offset (x, y, -175)

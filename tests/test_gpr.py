@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import likelihood_gradient, log_marginal_likelihood
 from uavtrack import gpr
 from uavtrack import tracking as tr
 from uavtrack.gpr import (
@@ -13,8 +14,6 @@ from uavtrack.gpr import (
     default_init,
     fit_hyperparams,
     kernel,
-    likelihood_gradient,
-    log_marginal_likelihood,
     make_model,
     posterior,
     posterior_mean_gradient,
@@ -73,6 +72,21 @@ def test_kernel_decays_with_distance_and_is_symmetric():
     assert np.max(np.abs(k - k.T)) < 1e-12
     d = kernel(np.zeros((1, 2)), np.array([[0.05, 0.0], [0.10, 0.0], [0.20, 0.0]]), HP)[0]
     assert d[0] > d[1] > d[2]
+
+
+def test_kernel_at_one_point_is_the_matrix_column_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in range(1, 91):
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        p = rng.uniform(-1.0, 1.0, 2)
+        hp = Hyperparams(
+            sigma_s=float(rng.uniform(0.01, 10.0)),
+            lengthscales=tuple(rng.uniform(0.01, 2.0, 2).tolist()),
+            sigma_n=0.1,
+        )
+        col = kernel(x, p, hp)
+        assert col.shape == (n,)
+        assert np.array_equal(col, kernel(x, p[None], hp)[:, 0])
 
 
 def test_kernel_gram_near_psd():

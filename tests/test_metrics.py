@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import predicted_gain_from_mae
 from uavtrack.beamforming import precoder_from_angle, steer_weights
 from uavtrack.channel import ArrayConfig, LinkBudget, effective_channel
 from uavtrack.geometry import SpatialAngles
@@ -11,7 +12,6 @@ from uavtrack.metrics import (
     beam_gain,
     main_lobe_limit,
     normalized_gain,
-    predicted_gain_from_mae,
     realized_gain,
     spectral_efficiency,
 )

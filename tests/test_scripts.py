@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +102,15 @@ def test_paired_timing_compares_a_tree_with_itself():
     assert "median per-pass wall ratio new/old" in done.stdout
     assert all(" ms, wall " in line for line in lines[1:3])
     assert lines[-1].endswith("trace.csv equal in 2/2")
+    # quartiles of CPU and of wall time per version, each in order
+    num = r"\s+(\d+\.\d+)"
+    for name, line in zip(("old", "new"), lines[1:3]):
+        m = re.fullmatch(
+            rf"  {name}  CPU per pass Q1{num}  median{num}  Q3{num} ms,"
+            rf" wall Q1{num}  median{num}  Q3{num} ms",
+            line,
+        )
+        assert m, line
+        q = [float(v) for v in m.groups()]
+        assert 0.0 < q[0] <= q[1] <= q[2] and 0.0 < q[3] <= q[4] <= q[5]
+    assert re.fullmatch(r"  new faster in [0-2]/2 pairs on CPU, [0-2]/2 on wall; .*", lines[-1])
