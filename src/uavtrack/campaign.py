@@ -177,20 +177,13 @@ def simulate_readings(cfg: ScenarioConfig, trial: int, states):
 def _refine(
     scheme: str, heff, seed: SpatialAngles, arr, budget, est, pilot_key, *, grids
 ) -> RefineResult:
-    # an if-chain, not a table: bench/layers.py traces each scheme by its name here.
-    # Only the pilot schemes build their stream(*pilot_key); gps_only sounds none.
-    if scheme == "gps_only":
+    if scheme == "gps_only":  # sounds no pilots, so builds no stream(*pilot_key)
         return baseline_gps_only(seed)
-    rng = stream(*pilot_key)
-    if scheme == "hybrid_gpr":
-        return refine_hybrid(heff, seed, arr, budget, est, rng, grids=grids)
-    if scheme == "analog_gpr":
-        return refine_analog(heff, seed, arr, budget, est, rng, grids=grids)
-    if scheme == "perturbation":
-        return baseline_perturbation(heff, seed, arr, budget, est, rng, grids=grids)
-    if scheme == "codebook_max":
-        return baseline_codebook(heff, seed, arr, budget, est, rng, grids=grids)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    # built from this module's names at each call, so a wrapper put in their
+    # place (bench/layers.py's tracer, a test's monkeypatch) is the one called
+    pilot = {"hybrid_gpr": refine_hybrid, "analog_gpr": refine_analog,
+             "perturbation": baseline_perturbation, "codebook_max": baseline_codebook}
+    return pilot[scheme](heff, seed, arr, budget, est, stream(*pilot_key), grids=grids)
 
 
 def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[list[TraceRow]]:
@@ -297,11 +290,12 @@ def _units(cfg: ScenarioConfig, cpus: int) -> list[tuple[int, range]]:
     Otherwise each trial splits into spans that start at its GPS-fix
     blocks, which depend on no earlier block of any scheme's chain.
     """
-    every = cfg.run_blocks if cfg.run_trials >= cpus else cfg.schedule().gps_every
+    split, sched = cfg.run_trials < cpus, cfg.schedule()
+    starts = [k for k in range(cfg.run_blocks) if k == 0 or (split and sched.gps_due(k))]
     return [
-        (trial, range(a, min(a + every, cfg.run_blocks)))
+        (trial, range(a, b))
         for trial in range(cfg.run_trials)
-        for a in range(0, cfg.run_blocks, every)
+        for a, b in itertools.pairwise(starts + [cfg.run_blocks])
     ]
 
 

@@ -18,22 +18,31 @@ from .campaign import (
     FIGURES, emit_figure_tables, read_summary_csv, run_campaign, write_csv, write_summary_csv,
     write_trace_csv,
 )
-from .config import SCHEMES, ConfigError, ScenarioConfig, parse_value
+from .config import FIELD_TYPES, SCHEMES, ConfigError, ScenarioConfig, parse_value
 
 __all__ = ["main"]
 
 ENV_PREFIX = "UAVTRACK"
+# simulate's overrides: (option, config field, help); each parses as its field's schema type
+_OVERRIDES = (
+    ("--trials", "run_trials", "override run.trials"),
+    ("--seed", "run_seed", "override run.seed"),
+    ("--schemes", "run_schemes", f"comma list, subset of: {', '.join(SCHEMES)}"),
+    ("--snr-db", "link_snr_db", "comma list, overrides link.snr_db"),
+    ("--phase-bits", "estimator_phase_bits", "comma list, overrides estimator.phase_bits"),
+)
 
 
-def _option(flag: str | None, name: str, typ=str):
-    """A flag's text, else UAVTRACK_<name>, parsed like a config file value.
+def _option(args, option: str, typ=str):
+    """The option's text, else UAVTRACK_<OPTION>, parsed like a config file value.
 
     None when neither is set; a malformed value is a ConfigError naming
     where it came from.
     """
-    source, raw = f"--{name.lower().replace('_', '-')}", flag
+    name = option[2:].replace("-", "_")
+    source, raw = option, getattr(args, name)
     if raw is None:
-        source = f"{ENV_PREFIX}_{name}"
+        source = f"{ENV_PREFIX}_{name.upper()}"
         raw = os.environ.get(source)
     if raw is None:
         return None
@@ -56,14 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo campaign from a config file")
     sim.add_argument("--config", default=None, help="path to a scenario config file")
-    sim.add_argument("--trials", default=None, help="override run.trials")
-    sim.add_argument("--seed", default=None, help="override run.seed")
     sim.add_argument("--out", default=None, help="output directory (default: runs)")
-    sim.add_argument(
-        "--schemes", default=None, help=f"comma list, subset of: {', '.join(SCHEMES)}"
-    )
-    sim.add_argument("--snr-db", default=None, help="comma list, overrides link.snr_db")
-    sim.add_argument("--phase-bits", default=None, help="comma list, overrides estimator.phase_bits")
+    for option, _, text in _OVERRIDES:
+        sim.add_argument(option, default=None, help=text)
 
     tab = sub.add_parser("tables", help="emit a per-figure CSV from a summary")
     tab.add_argument("--summary", default=None, help="path to a summary.csv")
@@ -75,23 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    config_path = _option(args.config, "CONFIG")
+    config_path = _option(args, "--config")
     cfg = ScenarioConfig() if config_path is None else ScenarioConfig.from_file(config_path)
     overrides = {
         field: value
-        for field, value in (
-            ("run_trials", _option(args.trials, "TRIALS", int)),
-            ("run_seed", _option(args.seed, "SEED", int)),
-            ("run_schemes", _option(args.schemes, "SCHEMES", tuple[str, ...])),
-            ("link_snr_db", _option(args.snr_db, "SNR_DB", tuple[float, ...])),
-            ("estimator_phase_bits", _option(args.phase_bits, "PHASE_BITS", tuple[int, ...])),
-        )
-        if value is not None
+        for option, field, _ in _OVERRIDES
+        if (value := _option(args, option, FIELD_TYPES[field])) is not None
     }
     if overrides:
         cfg = cfg.override(**overrides)
 
-    out_dir = _option(args.out, "OUT")
+    out_dir = _option(args, "--out")
     if out_dir is None:
         out_dir = "runs"
     result = run_campaign(cfg)
@@ -104,8 +102,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    summary_path = _option(args.summary, "SUMMARY")
-    figure = _option(args.figure, "FIGURE")
+    summary_path = _option(args, "--summary")
+    figure = _option(args, "--figure")
     if summary_path is None or figure is None:
         raise ConfigError("tables needs --summary and --figure")
     rows = read_summary_csv(summary_path)

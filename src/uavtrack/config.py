@@ -10,18 +10,21 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
+from .beamforming import candidate_set
 from .channel import ArrayConfig, LinkBudget
 from .mobility import MobilityConfig
 from .sensors import Schedule, SensorNoiseConfig
 from .tracking import EstimatorConfig
 
-__all__ = ["ConfigError", "ScenarioConfig", "SCHEMES", "ANALOG_SCHEMES", "parse_value"]
+__all__ = ["ConfigError", "ScenarioConfig", "SCHEMES", "ANALOG_SCHEMES", "FIELD_TYPES", "parse_value"]
 
 SCHEMES = ("hybrid_gpr", "analog_gpr", "gps_only", "perturbation", "codebook_max")
 # schemes with a phase-quantized data beam: the fig9 family; the rest make up fig7
 ANALOG_SCHEMES = ("analog_gpr", "codebook_max")
 
 KMH = 1.0 / 3.6
+# the most points a sweep grid may have: 21 x 21, the 8x8 array's grid at 8 phase bits
+MAX_GRID_POINTS = 441
 
 
 class ConfigError(ValueError):
@@ -111,6 +114,13 @@ class ScenarioConfig:
                 view()
             except ValueError as e:
                 raise ConfigError(f"{section}: {e}") from e
+        for bits in self.estimator_phase_bits:
+            size = candidate_set(0.0, 0.0, self.arrays(), bits).size
+            if size > MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"estimator.phase_bits = {bits} on array.nx = {self.array_nx} sweeps "
+                    f"{size} grid points, past the cap of {MAX_GRID_POINTS}"
+                )
 
     # module-config views -------------------------------------------------
 
@@ -170,12 +180,12 @@ class ScenarioConfig:
             key, _, val = line.partition("=")
             key = key.strip().lower()
             attr = key.replace(".", "_")
-            if attr not in _FIELD_TYPES:
+            if attr not in FIELD_TYPES:
                 raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
             if attr in values:
                 raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
             try:
-                values[attr] = parse_value(val.strip(), _FIELD_TYPES[attr])
+                values[attr] = parse_value(val.strip(), FIELD_TYPES[attr])
             except ValueError as e:
                 raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {e}") from e
         try:
@@ -209,4 +219,4 @@ def parse_value(text: str, typ):
     raise ValueError(f"unsupported type {typ}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

@@ -42,6 +42,9 @@ class MobilityConfig:
             raise ValueError("rho must be in (0, 1]")
         if self.speed_min > self.speed_max:
             raise ValueError("speed_min exceeds speed_max")
+        for name in ("sigma_speed", "sigma_heading"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} = {getattr(self, name)} must be nonnegative")
         if self.init_xy_min > self.init_xy_max:
             raise ValueError(
                 f"init_xy_min = {self.init_xy_min} exceeds init_xy_max = {self.init_xy_max}"

@@ -33,7 +33,7 @@ from uavtrack.campaign import (
     write_trace_csv,
 )
 from uavtrack.channel import ArrayConfig
-from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
+from uavtrack.config import MAX_GRID_POINTS, SCHEMES, ConfigError, ScenarioConfig
 from uavtrack.metrics import main_lobe_limit, spectral_efficiency
 from uavtrack.sensors import derive_velocity, ground_gps_measure
 
@@ -435,11 +435,33 @@ def _spans(cfg, cpus):
     return [(trial, blocks.start, blocks.stop) for trial, blocks in campaign._units(cfg, cpus)]
 
 
-def test_units_split_a_trial_at_its_gps_fixes():
-    cfg = ScenarioConfig(run_trials=1, run_blocks=20)  # a fix every 5 blocks
-    assert cfg.schedule().gps_every == 5
-    assert _spans(cfg, 2) == [(0, 0, 5), (0, 5, 10), (0, 10, 15), (0, 15, 20)]
-    assert _spans(cfg.override(run_blocks=23), 2)[-1] == (0, 20, 23)
+@example(gps_every=5, blocks=20, trials=1, cpus=2)  # a span per fix
+@example(gps_every=5, blocks=23, trials=1, cpus=2)  # a short last span
+@given(
+    gps_every=st.integers(1, 12),
+    blocks=st.integers(1, 40),
+    trials=st.integers(1, 4),
+    cpus=st.integers(1, 6),
+)
+def test_units_split_a_trial_at_its_gps_fixes(gps_every, blocks, trials, cpus):
+    t_block = ScenarioConfig.schedule_t_block
+    cfg = ScenarioConfig(
+        run_trials=trials, run_blocks=blocks,
+        schedule_t_gps=gps_every * t_block, schedule_t_ins=t_block,
+    )
+    units = campaign._units(cfg, cpus)
+    # each trial's blocks exactly once, in order
+    assert [(t, k) for t, span in units for k in span] == [
+        (t, k) for t in range(trials) for k in range(blocks)
+    ]
+    for trial in range(trials):
+        timeline = simulate_readings(cfg, trial, simulate_truth(cfg, trial)[0])
+        fixes = [k for k, (fix, _, _) in enumerate(timeline) if fix is not None]
+        starts = [span.start for t, span in units if t == trial]
+        # _run_trial's precondition: every unit starts at a fix; split
+        # trials start one at each fix
+        assert set(starts) <= set(fixes)
+        assert starts == (fixes if trials < cpus else [0])
 
 
 def test_units_keep_a_trial_with_one_fix_whole():
@@ -901,7 +923,8 @@ def test_campaign_result_wraps_rows():
 
 
 # Grid points per axis grow as 2^phase_bits / nx, so a 1x8 array at 7 bits
-# sweeps 82^2 points; the cap is the nominal 8x8 array's grid at 7 bits
+# sweeps 82^2 points, which the config refuses; to bound run time, the
+# examples that run stop at the nominal 8x8 array's grid at 7 bits
 _FUZZ_GRID_CAP = 121
 
 
@@ -923,18 +946,22 @@ _FUZZ_GRID_CAP = 121
 def test_edge_configurations_run_clean(nx, ny, nu, snr_db, phase_bits, horizon_dh, blocks, seed):
     arr = ArrayConfig(nx=nx, ny=ny, nu=nu)
     size = candidate_set(0.0, 0.0, arr, phase_bits).size
-    assume(size <= _FUZZ_GRID_CAP)
     # horizon_dh meters above the station and 2-3 km out along both axes:
     # elevations of about 0.007 to 0.1 degrees
     geometry = {} if horizon_dh is None else dict(
         scenario_uav_height=ScenarioConfig.scenario_gs_height + horizon_dh,
         scenario_init_min=2000.0, scenario_init_max=3000.0,
     )
-    cfg = ScenarioConfig(
+    config = dict(
         array_nx=nx, array_ny=ny, array_nu=nu, link_snr_db=(snr_db,),
         estimator_phase_bits=(phase_bits,), run_trials=1, run_blocks=blocks, run_seed=seed,
         run_schemes=SCHEMES, **geometry,
     )
+    if size > MAX_GRID_POINTS:  # refused at load, before any trial
+        with pytest.raises(ConfigError, match=f"sweeps {size} grid points"):
+            ScenarioConfig(**config)
+    assume(size <= _FUZZ_GRID_CAP)
+    cfg = ScenarioConfig(**config)
     # one trial of at most 3 blocks is one unit, which runs in this process;
     # any exception, np.linalg.LinAlgError included, fails the example
     rows = run_campaign(cfg).rows

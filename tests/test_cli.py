@@ -171,6 +171,9 @@ def test_snr_out_of_range_exit_2(tmp_path, capsys):
         ("scenario.init_min = 150", "mobility: init_xy_min = 150.0 exceeds init_xy_max"),
         ("scenario.uav_height = 25", "scenario.uav_height = 25.0 must exceed scenario.gs_height"),
         ("link.snr_db = 10, 10", "link.snr_db repeats an entry"),
+        ("mobility.sigma_speed = -1", "mobility: sigma_speed = -1.0 must be nonnegative"),
+        ("mobility.sigma_heading = -1", "mobility: sigma_heading = -1.0 must be nonnegative"),
+        ("array.nx = 1", "estimator.phase_bits = 6 on array.nx = 1 sweeps 1681 grid points"),
     ],
 )
 def test_load_time_rejections_exit_2(tmp_path, capsys, line, message):

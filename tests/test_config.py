@@ -1,10 +1,9 @@
 import math
-from dataclasses import fields
 
 import pytest
 
 from uavtrack.channel import ArrayConfig, LinkBudget
-from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig, parse_value
+from uavtrack.config import FIELD_TYPES, SCHEMES, ConfigError, ScenarioConfig, parse_value
 from uavtrack.mobility import MobilityConfig
 from uavtrack.sensors import Schedule, SensorNoiseConfig
 from uavtrack.tracking import EstimatorConfig
@@ -153,15 +152,18 @@ BAD_VALUES = [
     ("link.snr_db", "10, 20, 10", "link.snr_db repeats an entry: 10.0, 20.0, 10.0"),
     ("estimator.phase_bits", "6, 6", "estimator.phase_bits repeats an entry: 6, 6"),
     ("run.seed", "-1", "run.seed must be nonnegative, got -1"),
+    ("mobility.sigma_speed", "-1", "mobility: sigma_speed = -1.0 must be nonnegative"),
+    ("mobility.sigma_heading", "-0.5", "mobility: sigma_heading = -0.5 must be nonnegative"),
+    ("estimator.phase_bits", "9", "estimator.phase_bits = 9 on array.nx = 8 sweeps 1681 grid points"),
+    ("array.nx", "1", "estimator.phase_bits = 6 on array.nx = 1 sweeps 1681 grid points"),
 ]
 
 
 @pytest.mark.parametrize("key, text, message", BAD_VALUES)
 def test_bad_values_rejected_by_constructor(key, text, message):
     attr = key.replace(".", "_")
-    typ = {f.name: f.type for f in fields(ScenarioConfig)}[attr]
     with pytest.raises(ConfigError, match=message):
-        ScenarioConfig(**{attr: parse_value(text, typ)})
+        ScenarioConfig(**{attr: parse_value(text, FIELD_TYPES[attr])})
 
 
 @pytest.mark.parametrize("key, text, message", BAD_VALUES)
