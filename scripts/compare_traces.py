@@ -2,6 +2,7 @@
 """Compare two campaign CSVs (trace.csv or summary.csv) row by row.
 
     python3 scripts/compare_traces.py OLD NEW
+    python3 scripts/compare_traces.py OLD_DIR NEW_DIR
 
 Key columns (the sweep and row coordinates), `iterations` and
 `measurements` must match exactly, and so must the header and the row
@@ -16,10 +17,18 @@ deviation, |old - new| / max(|old|, |new|), with the column and row where
 it occurs. A roundoff-only change exits 0 and reports that deviation.
 Wrong usage, or a file that is missing, unreadable or without a header,
 exits 2 with a one-line message.
+
+Given two directories, as scripts/reference_runs.py writes them, the
+script compares every */trace.csv and */summary.csv in them and prints
+one block per file, headed by its relative path. A file on one side only
+counts as a difference (1), an unreadable one as 2, and the exit status
+is the worst of all files. Two directories without any such file exit 2.
 """
 
 import csv
+import glob
 import math
+import os
 import sys
 
 # key columns, then counts
@@ -115,12 +124,42 @@ def compare(old_path: str, new_path: str, out=sys.stdout) -> int:
     return 0
 
 
+def _campaign_csvs(root: str) -> set[str]:
+    return {
+        os.path.relpath(path, root)
+        for name in ("trace.csv", "summary.csv")
+        for path in glob.glob(os.path.join(glob.escape(root), "*", name))
+    }
+
+
+def compare_dirs(old_dir: str, new_dir: str, out=sys.stdout) -> int:
+    """Compare every campaign CSV of two directories; the worst status wins."""
+    old, new = _campaign_csvs(old_dir), _campaign_csvs(new_dir)
+    if not old | new:
+        raise InputError(f"no */trace.csv or */summary.csv under {old_dir} or {new_dir}")
+    worst = 0
+    for rel in sorted(old | new):
+        print(f"== {rel}", file=out)
+        if rel not in new or rel not in old:
+            print(f"only in {old_dir if rel in old else new_dir}", file=out)
+            worst = max(worst, 1)
+            continue
+        try:
+            status = compare(os.path.join(old_dir, rel), os.path.join(new_dir, rel), out)
+        except InputError as e:
+            print(e, file=out)
+            status = 2
+        worst = max(worst, status)
+    return worst
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         print("usage: compare_traces.py OLD NEW", file=sys.stderr)
         sys.exit(2)
+    both_dirs = all(map(os.path.isdir, sys.argv[1:]))
     try:
-        sys.exit(compare(sys.argv[1], sys.argv[2]))
+        sys.exit((compare_dirs if both_dirs else compare)(sys.argv[1], sys.argv[2]))
     except InputError as e:
         print(f"compare_traces.py: {e}", file=sys.stderr)
         sys.exit(2)

@@ -53,17 +53,13 @@ def build_precoder(egi: SensorReading, gs_pos: Position3, cfg: ArrayConfig) -> n
 def quantize_phases(w: np.ndarray, phase_bits: int) -> np.ndarray:
     """Round weight phases to multiples of 2 pi / 2^phase_bits.
 
-    Magnitudes are kept; each beam (last axis) is renormalized to unit
-    norm, which for constant-modulus weights changes nothing. Per-entry
-    phase error is at most pi / 2^phase_bits.
+    Magnitudes are kept and nothing is renormalized, so a unit-norm
+    constant-modulus beam stays unit-norm. Per-entry phase error is at
+    most pi / 2^phase_bits.
     """
     step = 2.0 * math.pi / 2.0**phase_bits
     phases = np.round(np.angle(w) / step) * step
-    q = np.abs(w) * np.exp(1j * phases)
-    # vecdot sums each row with BLAS dot, as np.linalg.norm does for one
-    # vector, so a stack of beams rounds exactly like each beam alone
-    norm = np.sqrt(np.vecdot(q.real, q.real) + np.vecdot(q.imag, q.imag))
-    return q / norm[..., None]
+    return np.abs(w) * np.exp(1j * phases)
 
 
 def steer_weights(u0, v0, cfg: ArrayConfig, phase_bits: int | None = None) -> np.ndarray:

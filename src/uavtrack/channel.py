@@ -124,23 +124,21 @@ def measure_beams(
 
     Beams are sounded sequentially, so each row sees a fresh noise
     realization: the combined noise w^H n is drawn directly as a complex
-    Gaussian with variance sigma_n^2 * ||w||^2, which is its exact
-    distribution for isotropic receiver noise.
+    Gaussian with variance sigma_n^2, its exact distribution for isotropic
+    receiver noise and a unit-norm w.
 
     Parameters
     ----------
     weights : np.ndarray, shape (n_beams, n_ground) or (n_ground,)
-        One combining vector per row, unit norm each.
+        One combining vector per row, unit norm each, as steer_weights
+        builds them; the noise is not scaled by ||w||.
 
     Returns
     -------
     np.ndarray, shape (n_beams,)
     """
     w = np.atleast_2d(weights)
-    wc = w.conj()
-    signal = wc @ heff * math.sqrt(budget.es)
-    sig_n = math.sqrt(budget.sigma_n2 / 2.0)
-    norms = np.sqrt(np.add.reduce((wc * w).real, axis=1))  # np.linalg.norm(w, axis=1)
+    signal = w.conj() @ heff * math.sqrt(budget.es)
     z = rng.standard_normal((w.shape[0], 2))
-    noise = sig_n * norms * (z[:, 0] + 1j * z[:, 1])
+    noise = math.sqrt(budget.sigma_n2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
     return np.abs(signal + noise)

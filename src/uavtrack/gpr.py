@@ -73,14 +73,16 @@ class FitResult:
 def kernel(xa: np.ndarray, xb: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Squared-exponential covariance between the (n, 2) float array xa and xb.
 
-    k(x, x') = sigma_s^2 * exp(-0.5 * sum_d ((x_d - x'_d) / ell_d)^2)
+    k(x, x') = sigma_s^2 * exp(-0.5 * sum_d (x_d - x'_d)^2 / ell_d^2)
 
-    An (m, 2) xb gives the (n, m) matrix. One point, shape (2,), gives the
-    (n,) column, bit for bit kernel(xa, xb[None], hp)[:, 0].
+    An (m, 2) xb gives the (n, m) matrix, and kernel(x, x, hp) is the fit's
+    Gram matrix bit for bit: the same squares, divided by the same ell**2.
+    One point, shape (2,), gives the (n,) column, bit for bit
+    kernel(xa, xb[None], hp)[:, 0].
     """
     d = xa - xb if xb.ndim == 1 else xa[:, None, :] - xb[None, :, :]
-    d /= hp.lengthscales
     d *= d
+    d /= [ell**2 for ell in hp.lengthscales]
     q = d.sum(axis=-1)
     q *= -0.5
     np.exp(q, out=q)
@@ -480,5 +482,5 @@ def posterior_mean_gradient(model: GprModel, xstar: np.ndarray) -> np.ndarray:
         k_cross = model.k_last
     else:
         k_cross = kernel(model.x, xstar, model.hp)
-    diffs = (xstar - model.x) / np.asarray(model.hp.lengthscales) ** 2
+    diffs = (xstar - model.x) / [ell**2 for ell in model.hp.lengthscales]
     return -(diffs * k_cross[:, None]).T @ model.alpha

@@ -153,6 +153,22 @@ def test_quantize_phase_lattice_and_error_bound():
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("nx, ny", [(nx, ny) for nx in range(1, 9) for ny in range(1, 9)])
+def test_every_beam_is_unit_norm(nx, ny):
+    # measure_beams and spectral_efficiency take ||w|| = 1 from here
+    cfg = ArrayConfig(nx, ny, 8)
+    rng = np.random.default_rng(nx * 8 + ny)
+    eps = np.finfo(float).eps
+    for bits in (None, *range(1, 9)):
+        u, v = rng.uniform(-1.0, 1.0, (2, 5))
+        for w in (
+            steer_weights(float(u[0]), float(v[0]), cfg, bits),
+            steer_weights(u[:, None], v[None, :4], cfg, bits),
+        ):
+            assert w.shape[-1] == nx * ny
+            assert np.max(np.abs(np.linalg.norm(w, axis=-1) - 1.0)) <= 4 * eps
+
+
 def test_quantize_idempotent_on_lattice():
     w = steer_weights(0.25, 0.125, CFG, phase_bits=6)
     again = quantize_phases(w, 6)

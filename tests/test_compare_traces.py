@@ -106,3 +106,70 @@ def test_unreadable_file_exits_2(tmp_path, setup, message):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0] and str(new) in lines[0]
+
+
+def _campaign_dirs(tmp_path, new_trace_rows):
+    """Two reference_runs.py-style directories with one campaign each."""
+    for side, rows in (("old", ROWS), ("new", new_trace_rows)):
+        campaign = tmp_path / side / "golden"
+        campaign.mkdir(parents=True)
+        (campaign / "trace.csv").write_text(HEADER + "".join(rows))
+        (campaign / "summary.csv").write_text("scheme,mse_u\nhybrid_gpr,0.25\n")
+    return tmp_path / "old", tmp_path / "new"
+
+
+def _run_dirs(old, new):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(old), str(new)], capture_output=True, text=True
+    )
+
+
+def test_directories_with_roundoff_only_exit_0(tmp_path):
+    old, new = _campaign_dirs(tmp_path, ["1,0,0,hybrid_gpr,0.125000000001,7,43\n", ROWS[1]])
+    done = _run_dirs(old, new)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == [
+        "== golden/summary.csv",
+        "1 rows, 1 byte-identical",
+        "largest relative deviation: 0",
+        "== golden/trace.csv",
+        "2 rows, 1 byte-identical",
+        "largest relative deviation: 8e-12 in est_u at row 1",
+    ]
+
+
+def test_directories_with_a_count_change_exit_1_and_name_the_file(tmp_path):
+    old, new = _campaign_dirs(tmp_path, ["1,0,0,hybrid_gpr,0.125,8,43\n", ROWS[1]])
+    done = _run_dirs(old, new)
+    assert done.returncode == 1
+    block = done.stdout.split("== golden/trace.csv\n")[1]
+    assert block.startswith("row 1: iterations differs")
+
+
+def test_directories_with_a_file_on_one_side_only_exit_1(tmp_path):
+    old, new = _campaign_dirs(tmp_path, ROWS)
+    (new / "golden" / "summary.csv").unlink()
+    (new / "extra").mkdir()
+    (new / "extra" / "trace.csv").write_text(HEADER + "".join(ROWS))
+    done = _run_dirs(old, new)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["== extra/trace.csv", f"only in {new}"]
+    assert lines[2:4] == ["== golden/summary.csv", f"only in {old}"]
+
+
+def test_directories_exit_with_the_worst_status(tmp_path):
+    old, new = _campaign_dirs(tmp_path, ["1,0,0,hybrid_gpr,0.125,8,43\n", ROWS[1]])
+    (new / "golden" / "summary.csv").write_text("")
+    done = _run_dirs(old, new)
+    assert done.returncode == 2
+    assert f"{new / 'golden' / 'summary.csv'} has no header" in done.stdout
+    assert "row 1: iterations differs" in done.stdout
+
+
+def test_directories_without_campaign_csvs_exit_2(tmp_path):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    done = _run_dirs(tmp_path / "old", tmp_path / "new")
+    assert done.returncode == 2
+    assert "no */trace.csv or */summary.csv" in done.stderr

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import likelihood_gradient, log_marginal_likelihood
@@ -87,6 +87,26 @@ def test_kernel_at_one_point_is_the_matrix_column_bit_for_bit():
         col = kernel(x, p, hp)
         assert col.shape == (n,)
         assert np.array_equal(col, kernel(x, p[None], hp)[:, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    sigma_s=st.floats(0.01, 10.0),
+    ell_u=st.floats(0.01, 2.0),
+    ell_v=st.floats(0.01, 2.0),
+)
+# an ell whose ell ** 2 is one ulp off ell * ell
+@example(seed=7, n=20, sigma_s=1.3, ell_u=0.15295623654813156, ell_v=0.15295623654813156)
+def test_kernel_is_the_fits_gram_matrix_bit_for_bit(seed, n, sigma_s, ell_u, ell_v):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    hp = Hyperparams(sigma_s=sigma_s, lengthscales=(ell_u, ell_v), sigma_n=0.1)
+    gram = gpr._Objective(x, rng.standard_normal(n)).gram(sigma_s, hp.lengthscales)
+    assert np.array_equal(kernel(x, x, hp), gram)
+    for i in range(n):
+        assert np.array_equal(kernel(x, x[i], hp), gram[:, i])
 
 
 def test_kernel_gram_near_psd():
