@@ -201,7 +201,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[list[Trac
     a span.
     """
     arr = cfg.arrays()
-    gs_pos = Position3(cfg.scenario_gs_x, cfg.scenario_gs_y, cfg.scenario_gs_height)
+    gs_pos = Position3(0.0, 0.0, cfg.scenario_gs_height)
     delta_h = cfg.scenario_uav_height - cfg.scenario_gs_height
     # snr_db, budget, phase_bits, estimator, scheme and the data beam's quantization
     chains = [

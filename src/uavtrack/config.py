@@ -62,8 +62,6 @@ class ScenarioConfig:
     mobility_speed_max_kmh: float = 160.0
     mobility_sigma_speed: float = 5.0
     mobility_sigma_heading: float = 0.5
-    scenario_gs_x: float = 0.0
-    scenario_gs_y: float = 0.0
     scenario_gs_height: float = 25.0
     scenario_uav_height: float = 200.0
     scenario_init_min: float = 10.0

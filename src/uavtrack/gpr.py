@@ -45,7 +45,8 @@ BOUND_LO, BOUND_HI = 1e-8, 1e8  # clamp on every fitted parameter, natural units
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Signal std sigma_s, per-axis length scales, noise std sigma_n."""
+    """Signal std sigma_s, per-axis length scales, noise std sigma_n; inside
+    this module they travel as the list v = as_list() = [sigma_s, ell_u, ell_v, sigma_n]."""
 
     sigma_s: float
     lengthscales: tuple[float, float]
@@ -57,8 +58,8 @@ class Hyperparams:
         if self.sigma_n < 0.0:
             raise ValueError("sigma_n must be nonnegative")
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.sigma_s, *self.lengthscales, self.sigma_n])
+    def as_list(self) -> list[float]:
+        return [self.sigma_s, *self.lengthscales, self.sigma_n]
 
 
 @dataclass(frozen=True)
@@ -70,24 +71,32 @@ class FitResult:
     trace: tuple[float, ...] = field(default=())
 
 
+def _se(sq, v: list[float], out: np.ndarray | None = None) -> np.ndarray:
+    """sigma_s^2 * exp(-0.5 * sum_d sq[d] / ell_d^2), v = [sigma_s, ell_u, ell_v, sigma_n].
+
+    sq holds the squared differences along u and v, two arrays of one
+    shape; out, if given, is scratch of that shape for the v term.
+    """
+    k = np.divide(sq[0], v[1] ** 2)
+    k += np.divide(sq[1], v[2] ** 2, out=out)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= v[0] ** 2
+    return k
+
+
 def kernel(xa: np.ndarray, xb: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Squared-exponential covariance between the (n, 2) float array xa and xb.
 
     k(x, x') = sigma_s^2 * exp(-0.5 * sum_d (x_d - x'_d)^2 / ell_d^2)
 
     An (m, 2) xb gives the (n, m) matrix, and kernel(x, x, hp) is the fit's
-    Gram matrix bit for bit: the same squares, divided by the same ell**2.
-    One point, shape (2,), gives the (n,) column, bit for bit
-    kernel(xa, xb[None], hp)[:, 0].
+    Gram matrix bit for bit: both go through _se. One point, shape (2,),
+    gives the (n,) column, bit for bit kernel(xa, xb[None], hp)[:, 0].
     """
-    d = xa - xb if xb.ndim == 1 else xa[:, None, :] - xb[None, :, :]
+    d = xa.T - xb[:, None] if xb.ndim == 1 else xa.T[:, :, None] - xb.T[:, None, :]
     d *= d
-    d /= [ell**2 for ell in hp.lengthscales]
-    q = d.sum(axis=-1)
-    q *= -0.5
-    np.exp(q, out=q)
-    q *= hp.sigma_s**2
-    return q
+    return _se(d, hp.as_list(), out=d[1])
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,10 +131,11 @@ def _check_finite(x: np.ndarray, y: np.ndarray, first_row: int = 0) -> None:
 class _Objective:
     """Marginal likelihood and gradient over one training set.
 
-    Caches the per-axis squared differences so repeated evaluations during
-    hyperparameter search cost one matrix exponential and one Cholesky.
-    Parameters travel as plain (sigma_s, (ell_u, ell_v), sigma_n) floats;
-    the search builds a Hyperparams only for the iterate it returns.
+    Coerces and checks the training set, and caches its per-axis squared
+    differences so repeated evaluations during hyperparameter search cost
+    one matrix exponential and one Cholesky. Every method takes the plain
+    list v = [sigma_s, ell_u, ell_v, sigma_n]; the search builds a
+    Hyperparams only for the iterate it returns.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -140,25 +150,19 @@ class _Objective:
         self.lml_const = 0.5 * self.n * LOG2PI
         self.scratch = np.empty((self.n, self.n))
 
-    def gram(self, sigma_s: float, lengthscales) -> np.ndarray:
-        k = np.divide(self.d2[0], lengthscales[0] ** 2)
-        for d2, ell in zip(self.d2[1:], lengthscales[1:]):
-            k += np.divide(d2, ell**2, out=self.scratch)
-        k *= -0.5
-        np.exp(k, out=k)
-        k *= sigma_s**2
-        return k
+    def gram(self, v: list[float]) -> np.ndarray:
+        return _se(self.d2, v, out=self.scratch)
 
-    def chol(self, sigma_s: float, lengthscales, sigma_n: float):
+    def chol(self, v: list[float]):
         """Lower Cholesky of K + (sigma_n^2 + jitter) I, escalating jitter.
 
         Starts at JITTER_BASE * sigma_s^2 and multiplies by 10 up to
         JITTER_MAX * sigma_s^2 before giving up. Returns (K, L, jitter).
         """
-        k = self.gram(sigma_s, lengthscales)
-        jitter = JITTER_BASE * sigma_s**2
-        limit = JITTER_MAX * sigma_s**2
-        noise = sigma_n**2
+        k = self.gram(v)
+        jitter = JITTER_BASE * v[0] ** 2
+        limit = JITTER_MAX * v[0] ** 2
+        noise = v[3] ** 2
         while True:
             kn = k.copy()
             kn.ravel()[:: self.n + 1] += noise + jitter
@@ -173,22 +177,16 @@ class _Objective:
                 )
             jitter *= 10.0
 
-    def lml(self, chol: np.ndarray, alpha: np.ndarray) -> float:
-        return float(
-            self.neg_half_y @ alpha - np.log(chol.diagonal()).sum() - self.lml_const
-        )
-
-    def evaluate(self, sigma_s: float, lengthscales, sigma_n: float):
+    def evaluate(self, v: list[float]):
         """(K, L, jitter, alpha, log marginal likelihood) at one parameter point."""
-        k, chol, jitter = self.chol(sigma_s, lengthscales, sigma_n)
+        k, chol, jitter = self.chol(v)
         alpha = _cho_solve(chol, self.y)
-        return k, chol, jitter, alpha, self.lml(chol, alpha)
+        lml = self.neg_half_y @ alpha - np.log(chol.diagonal()).sum() - self.lml_const
+        return k, chol, jitter, alpha, float(lml)
 
     def derivatives(
         self,
-        sigma_s: float,
-        lengthscales,
-        sigma_n: float,
+        v: list[float],
         k: np.ndarray,
         chol: np.ndarray,
         jitter: float,
@@ -223,7 +221,7 @@ class _Objective:
         tr_a = float(ak.trace())
         ak *= k
         # K * Q_l = s_l * K * d2_l; the scale s_l = ell_l^-2 rides on the scalars
-        s_u, s_v = (ell**-2 for ell in lengthscales)
+        s_u, s_v = v[1] ** -2, v[2] ** -2
         d2_u, d2_v = self.d2
         g_s = float(ak.sum())
         akd = np.multiply(ak, d2_u, out=self.scratch)
@@ -236,11 +234,12 @@ class _Objective:
         # freed before M_u and M_v exist, to hold peak memory down where n
         # reaches 441 (8 phase bits)
         del ak, akd
-        c = sigma_n**2 + jitter
+        s2 = v[3] ** 2
+        c = s2 + jitter
         m_u = kinv @ np.multiply(k, d2_u, out=self.scratch)
-        v = [2.0 * (self.y - c * alpha), s_u * (self.scratch @ alpha)]  # dK_i alpha
+        dka = [2.0 * (self.y - c * alpha), s_u * (self.scratch @ alpha)]  # dK_i alpha
         m_v = kinv @ np.multiply(k, d2_v, out=self.scratch)
-        v.append(s_v * (self.scratch @ alpha))
+        dka.append(s_v * (self.scratch @ alpha))
         b = np.multiply(kinv, -c, out=self.scratch)
         b.ravel()[:: self.n + 1] += 1.0  # M_s / 2
         f_su = s_u * float(np.vdot(b, m_u))
@@ -249,8 +248,7 @@ class _Objective:
         f_uu = 0.5 * s_u * s_u * float(np.einsum("ij,ji->", m_u, m_u))
         f_uv = 0.5 * s_u * s_v * float(np.einsum("ij,ji->", m_u, m_v))
         f_vv = 0.5 * s_v * s_v * float(np.einsum("ij,ji->", m_v, m_v))
-        s2 = sigma_n**2
-        v.append((2.0 * s2) * alpha)
+        dka.append((2.0 * s2) * alpha)
         g_n = s2 * tr_a
         f_sn = 2.0 * s2 * float(np.vdot(b, kinv))
         f_un = s2 * s_u * float(np.vdot(m_u, kinv))
@@ -268,15 +266,11 @@ class _Objective:
             [2.0 * g_v, d_uv, d_vv, 0.0],
             [0.0, 0.0, 0.0, 2.0 * g_n],
         ]
-        u = _solve_lower(chol, np.array(v).T)  # L^-1 dK_i alpha
+        u = _solve_lower(chol, np.array(dka).T)  # L^-1 dK_i alpha
         fisher = np.array(fisher)
         hess = fisher + np.array(second)
         hess -= u.T @ u
         return np.array(g), fisher, hess
-
-
-def _unpack(hp: Hyperparams):
-    return hp.sigma_s, hp.lengthscales, hp.sigma_n
 
 
 def default_init(x: np.ndarray, y: np.ndarray) -> Hyperparams:
@@ -325,28 +319,21 @@ def fit_hyperparams(
     FIT_TOL nats, when no halving raises the likelihood (with a warning),
     or after max_iter iterations.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    hp = init if init is not None else default_init(x, y)
-    lo, hi = math.log(BOUND_LO), math.log(BOUND_HI)
     obj = _Objective(x, y)
-
-    def evaluate(v: list[float]):
-        params = (v[0], (v[1], v[2]), v[3])
-        return (params,) + obj.evaluate(*params)
-
-    # theta and the step live in lists: the loop does a handful of scalar
+    hp = init if init is not None else default_init(obj.x, obj.y)
+    lo, hi = math.log(BOUND_LO), math.log(BOUND_HI)
+    # vals, theta and the step live in lists: the loop does a handful of scalar
     # operations per probe, which cost less on floats than on small arrays.
     # The start is evaluated at the given values, not at exp(log(values)),
     # so a fit that takes no step returns its init unchanged.
-    vals = [min(max(v, BOUND_LO), BOUND_HI) for v in hp.as_vector().tolist()]
-    theta = [math.log(v) for v in vals]
-    params, k, chol, jitter, alpha, lml = evaluate(vals)
+    vals = [min(max(p, BOUND_LO), BOUND_HI) for p in hp.as_list()]
+    theta = [math.log(p) for p in vals]
+    k, chol, jitter, alpha, lml = obj.evaluate(vals)
     trace = [lml]
     warning = None
     it = 0
     for it in range(1, max_iter + 1):
-        g, fisher, hess = obj.derivatives(*params, k, chol, jitter, alpha)
+        g, fisher, hess = obj.derivatives(vals, k, chol, jitter, alpha)
         g_list = g.tolist()
         # a parameter held at a bound and pushed further out by its gradient
         # takes no part in the step, nor in its predicted gain
@@ -371,15 +358,16 @@ def fit_hyperparams(
             cand_theta = [min(max(t + s * scale, lo), hi) for t, s in zip(theta, step)]
             if all(abs(c - t) <= 1e-8 + 1e-5 * abs(t) for c, t in zip(cand_theta, theta)):
                 break
+            # exp(log(bound)) can land an ulp outside the bound
+            cand_vals = [min(max(math.exp(c), BOUND_LO), BOUND_HI) for c in cand_theta]
             try:
-                # exp(log(bound)) can land an ulp outside the bound
-                cand = evaluate([min(max(math.exp(c), BOUND_LO), BOUND_HI) for c in cand_theta])
+                cand = obj.evaluate(cand_vals)
             except np.linalg.LinAlgError:
                 scale *= 0.5
                 continue
             if cand[-1] > lml:
-                theta = cand_theta
-                params, k, chol, jitter, alpha, lml = cand
+                theta, vals = cand_theta, cand_vals
+                k, chol, jitter, alpha, lml = cand
                 trace.append(lml)
                 accepted = True
                 break
@@ -387,9 +375,8 @@ def fit_hyperparams(
         if not accepted:
             warning = "no ascent step found; returning best iterate"
             break
-    sigma_s, lengthscales, sigma_n = params
     return FitResult(
-        hyperparams=Hyperparams(sigma_s=sigma_s, lengthscales=lengthscales, sigma_n=sigma_n),
+        hyperparams=Hyperparams(sigma_s=vals[0], lengthscales=(vals[1], vals[2]), sigma_n=vals[3]),
         log_marginal=lml,
         iterations=it,
         warning=warning,
@@ -451,8 +438,7 @@ class GprModel:
 def make_model(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> GprModel:
     """Factorize the training set once; posterior queries reuse the cache."""
     obj = _Objective(x, y)
-    _, chol, jitter = obj.chol(*_unpack(hp))
-    alpha = _cho_solve(chol, obj.y)
+    _, chol, jitter, alpha, _ = obj.evaluate(hp.as_list())
     return GprModel(x=obj.x, y=obj.y, hp=hp, chol=chol, alpha=alpha, jitter=jitter)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavtrack.channel import ArrayConfig
-from uavtrack.gpr import Hyperparams, _Objective, _unpack
+from uavtrack.gpr import Hyperparams, _Objective
 from uavtrack.metrics import beam_gain, main_lobe_limit
 
 __all__ = [
@@ -80,7 +80,7 @@ def rotation_matrix(att: Attitude) -> np.ndarray:
 
 def log_marginal_likelihood(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> float:
     """-0.5 y^T Kn^-1 y - 0.5 log|Kn| - n/2 log(2 pi), Kn = K + sigma_n^2 I."""
-    return _Objective(x, y).evaluate(*_unpack(hp))[-1]
+    return _Objective(x, y).evaluate(hp.as_list())[-1]
 
 
 def likelihood_gradient(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> np.ndarray:
@@ -91,9 +91,10 @@ def likelihood_gradient(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> np.nda
     the fit's log-space gradient, divided by the parameter values.
     """
     obj = _Objective(x, y)
-    k, chol, jitter, alpha, _ = obj.evaluate(*_unpack(hp))
-    g = obj.derivatives(*_unpack(hp), k, chol, jitter, alpha)[0]
-    vals = hp.as_vector()
+    v = hp.as_list()
+    k, chol, jitter, alpha, _ = obj.evaluate(v)
+    g = obj.derivatives(v, k, chol, jitter, alpha)[0]
+    vals = np.array(v)
     # d/d sigma_n is sigma_n * tr(A), which is 0 at sigma_n = 0
     return np.divide(g, vals, out=np.zeros_like(g), where=vals > 0.0)
 

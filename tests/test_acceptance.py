@@ -122,7 +122,7 @@ def test_criterion_3_gpr_correctness():
         interp_worst = max(interp_worst, float(np.max(np.abs(mean - y))))
 
     def perturbed(hp, i, eps):
-        v = hp.as_vector()
+        v = hp.as_list()
         v[i] += eps
         return Hyperparams(sigma_s=v[0], lengthscales=(v[1], v[2]), sigma_n=v[3])
 

@@ -922,6 +922,21 @@ def test_campaign_result_wraps_rows():
     assert {r.block for r in res.rows} == {0, 1}
 
 
+def _checked_measurements(r, cfg, size):
+    """Assert that row r is finite, inside the unit disk and within the
+    iteration cap; return the measurements its scheme takes on a size-point grid."""
+    assert all(math.isfinite(v) for v in dataclasses.astuple(r) if isinstance(v, float)), r
+    assert r.est_u**2 + r.est_v**2 < 1.0
+    assert 0 <= r.iterations <= cfg.estimator_max_iterations
+    return {
+        "hybrid_gpr": size + r.iterations,
+        "analog_gpr": size,
+        "gps_only": 0,
+        "perturbation": 3 * r.iterations,
+        "codebook_max": size,
+    }[r.scheme]
+
+
 # Grid points per axis grow as 2^phase_bits / nx, so a 1x8 array at 7 bits
 # sweeps 82^2 points, which the config refuses; to bound run time, the
 # examples that run stop at the nominal 8x8 array's grid at 7 bits
@@ -968,18 +983,25 @@ def test_edge_configurations_run_clean(nx, ny, nu, snr_db, phase_bits, horizon_d
     assert len(rows) == blocks * len(SCHEMES)
     pilots = nx * ny > 1 and size >= 2  # else every pilot scheme falls back to the seed
     for r in rows:
-        assert all(math.isfinite(v) for v in dataclasses.astuple(r) if isinstance(v, float)), r
-        assert r.est_u**2 + r.est_v**2 < 1.0
-        assert 0 <= r.iterations <= cfg.estimator_max_iterations
-        measurements = {
-            "hybrid_gpr": size + r.iterations,
-            "analog_gpr": size,
-            "gps_only": 0,
-            "perturbation": 3 * r.iterations,
-            "codebook_max": size,
-        }[r.scheme]
+        measurements = _checked_measurements(r, cfg, size)
         fallback = (r.iterations, r.measurements) == (0, 0)
         if r.scheme == "codebook_max":
             assert r.iterations == 0
         # a grid that clips to a point near the horizon falls back as well
         assert (r.measurements == measurements and pilots) or fallback, r
+
+
+def test_largest_admitted_grid_runs_clean():
+    # the nominal 8x8 array at 8 phase bits sweeps the largest grid the
+    # config admits; at -10 dB hybrid_gpr runs to its iteration cap, on a
+    # model of up to 491 points
+    cfg = ScenarioConfig(
+        link_snr_db=(-10.0, 10.0, 300.0), estimator_phase_bits=(8,), run_trials=1,
+        run_blocks=1, run_seed=3, run_schemes=SCHEMES,
+    )
+    size = candidate_set(0.0, 0.0, cfg.arrays(), 8).size
+    assert size == MAX_GRID_POINTS
+    rows = run_campaign(cfg).rows
+    assert len(rows) == len(cfg.link_snr_db) * len(SCHEMES)
+    for r in rows:
+        assert r.measurements == _checked_measurements(r, cfg, size), r

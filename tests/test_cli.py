@@ -306,8 +306,12 @@ def test_module_entry_point():
     import subprocess
     import sys
 
+    # the child imports this checkout's package, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(campaign.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-m", "uavtrack", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "uavtrack", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "tables" in proc.stdout

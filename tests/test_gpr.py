@@ -36,7 +36,7 @@ def _sample_surface(rng, x, hp):
 
 
 def _perturbed(hp, idx, eps):
-    v = hp.as_vector()
+    v = hp.as_list()
     v[idx] += eps
     return Hyperparams(sigma_s=v[0], lengthscales=(v[1], v[2]), sigma_n=v[3])
 
@@ -103,7 +103,7 @@ def test_kernel_is_the_fits_gram_matrix_bit_for_bit(seed, n, sigma_s, ell_u, ell
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
     hp = Hyperparams(sigma_s=sigma_s, lengthscales=(ell_u, ell_v), sigma_n=0.1)
-    gram = gpr._Objective(x, rng.standard_normal(n)).gram(sigma_s, hp.lengthscales)
+    gram = gpr._Objective(x, rng.standard_normal(n)).gram(hp.as_list())
     assert np.array_equal(kernel(x, x, hp), gram)
     for i in range(n):
         assert np.array_equal(kernel(x, x[i], hp), gram[:, i])
@@ -226,9 +226,9 @@ def _random_hyperparams(rng):
 def _derivatives(x, y, hp):
     """(g, F, H) in log parameters, and the jitter they were taken at."""
     obj = gpr._Objective(x, y)
-    params = (hp.sigma_s, hp.lengthscales, hp.sigma_n)
-    k, chol, jitter, alpha, _ = obj.evaluate(*params)
-    return obj.derivatives(*params, k, chol, jitter, alpha), jitter
+    v = hp.as_list()
+    k, chol, jitter, alpha, _ = obj.evaluate(v)
+    return obj.derivatives(v, k, chol, jitter, alpha), jitter
 
 
 # at_init: at the point every cold fit starts from (default_init), else at
@@ -241,17 +241,17 @@ def test_log_space_hessian_matches_central_differences(n, at_init):
     hp = default_init(x, y) if at_init else _random_hyperparams(rng)
     (g, _, hess), _ = _derivatives(x, y, hp)
     # the fit's gradient is likelihood_gradient's, by the chain rule to log space
-    vals = hp.as_vector()
+    vals = np.array(hp.as_list())
     assert np.allclose(g, likelihood_gradient(x, y, hp) * vals, rtol=1e-12, atol=0.0)
     h = 1e-5
     fd = np.empty_like(hess)
     for j in range(len(vals)):
         ends = []
         for sign in (1.0, -1.0):
-            v = hp.as_vector()
+            v = hp.as_list()
             v[j] *= math.exp(sign * h)
             moved = Hyperparams(sigma_s=v[0], lengthscales=(v[1], v[2]), sigma_n=v[3])
-            ends.append(likelihood_gradient(x, y, moved) * moved.as_vector())
+            ends.append(likelihood_gradient(x, y, moved) * moved.as_list())
         fd[:, j] = (ends[0] - ends[1]) / (2.0 * h)
     assert np.max(np.abs(hess - fd)) < 1e-6 * np.max(np.abs(fd))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
@@ -334,7 +334,7 @@ def test_fitted_parameters_stay_inside_bounds():
         init = replace(default_init(x, y), sigma_n=gpr.BOUND_LO)
         res = fit_hyperparams(x, y, init=init)
         assert res.iterations >= 1
-        values = res.hyperparams.as_vector()
+        values = np.array(res.hyperparams.as_list())
         assert np.all((values >= gpr.BOUND_LO) & (values <= gpr.BOUND_HI)), values
         assert res.hyperparams.sigma_n == gpr.BOUND_LO
 
