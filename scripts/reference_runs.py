@@ -3,17 +3,20 @@
 
     python3 scripts/reference_runs.py OUT_DIR
 
-Each campaign writes trace.csv and summary.csv under OUT_DIR/<campaign>/,
-reads the summary back and writes there every figure table (fig5.csv ..
-fig9.csv) that it supports, as `uavtrack tables` would:
+Each campaign loads its file from configs/, sets its trial count, and
+writes trace.csv and summary.csv under OUT_DIR/<campaign>/ and beside them
+every figure table (fig5.csv .. fig9.csv) the summary supports, through
+scripts/figures.py's write_campaign:
 
-  golden             the golden-trace config of tests/test_golden_trace.py
-  criterion7         acceptance criterion 7's campaign at 40 trials
-  criterion7_single  the same campaign at 1 trial, which run_campaign splits
-                     at its GPS fixes on a machine with 2 or more CPUs
+  golden             configs/golden.conf, the golden-trace test's campaign,
+                     at the file's own trial count
+  criterion7         configs/criterion7.conf, acceptance criterion 7's
+                     campaign, at 40 trials
+  criterion7_single  the same at 1 trial, which run_campaign splits at its
+                     GPS fixes on a machine with 2 or more CPUs
   estimation_sweep   configs/estimation_sweep.conf at 30 trials
-  phase_bits         analog_gpr and codebook_max at 4-8 phase bits and
-                     10 and 20 dB, 12 trials of the estimation sweep
+  phase_bits         configs/phase_bits.conf (analog_gpr and codebook_max
+                     at 4-8 phase bits and 10 and 20 dB) at 12 trials
   gps_outage         configs/gps_outage.conf at 4 trials: 100 blocks and
                      one GPS fix, so hybrid_gpr refits 99 blocks in a row
 
@@ -32,43 +35,34 @@ import argparse
 import hashlib
 import operator
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
 
-from uavtrack.campaign import (
-    FIGURES, TraceRow, emit_figure_tables, read_summary_csv, run_campaign, write_csv,
-    write_summary_csv, write_trace_csv,
-)
-from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
+from uavtrack.campaign import TraceRow
+from uavtrack.config import ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))  # also when this file is loaded by its path
+from figures import load_config, write_campaign  # noqa: E402
 
-# the degraded sensors of criterion 7 and of the golden trace
-_DEGRADED = dict(sensors_sigma_gps_m=5.0, sensors_sigma_ins_m=5.0, sensors_sigma_heading_deg=0.05)
+# campaign: (config file in configs/, trials or None for the file's), in run order
+_CAMPAIGNS = {
+    "golden": ("golden.conf", None),
+    "criterion7": ("criterion7.conf", 40),
+    "criterion7_single": ("criterion7.conf", 1),
+    "estimation_sweep": ("estimation_sweep.conf", 30),
+    "phase_bits": ("phase_bits.conf", 12),
+    "gps_outage": ("gps_outage.conf", 4),
+}
 
 
 def campaigns() -> dict[str, ScenarioConfig]:
     """Campaign name to config, in run order."""
-    sweep = ScenarioConfig.from_file(os.path.join(ROOT, "configs", "estimation_sweep.conf"))
-    outage = ScenarioConfig.from_file(os.path.join(ROOT, "configs", "gps_outage.conf"))
-    criterion7 = ScenarioConfig(
-        run_trials=40, run_blocks=20, run_schemes=("hybrid_gpr", "gps_only"),
-        link_snr_db=(10.0,), **_DEGRADED,
-    )
     return {
-        "golden": ScenarioConfig(
-            run_trials=2, run_blocks=4, run_seed=2024, run_schemes=SCHEMES,
-            link_snr_db=(10.0, 30.0), estimator_phase_bits=(5, 6), **_DEGRADED,
-        ),
-        "criterion7": criterion7,
-        "criterion7_single": criterion7.override(run_trials=1),
-        "estimation_sweep": sweep.override(run_trials=30),
-        "phase_bits": sweep.override(
-            run_trials=12, run_schemes=("analog_gpr", "codebook_max"),
-            link_snr_db=(10.0, 20.0), estimator_phase_bits=(4, 5, 6, 7, 8),
-        ),
-        "gps_outage": outage.override(run_trials=4),
+        name: load_config(os.path.join(ROOT, "configs", conf), trials)
+        for name, (conf, trials) in _CAMPAIGNS.items()
     }
 
 
@@ -84,34 +78,16 @@ def float_digest(rows) -> str:
     return hashlib.sha256(floats.tobytes()).hexdigest()
 
 
-def write_figure_tables(summary: str) -> list[str]:
-    """Write beside summary each figure table it supports; their paths, in FIGURES order."""
-    rows = read_summary_csv(summary)
-    paths = []
-    for figure in FIGURES:
-        try:
-            header, table = emit_figure_tables(rows, figure)
-        except ConfigError:  # the campaign lacks the figure's axis or schemes
-            continue
-        paths.append(os.path.join(os.path.dirname(summary), f"{figure}.csv"))
-        write_csv(paths[-1], header, table)
-    return paths
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory for the campaigns' CSVs")
     out_dir = parser.parse_args().out_dir
     for name, cfg in campaigns().items():
-        result = run_campaign(cfg)
-        trace = os.path.join(out_dir, name, "trace.csv")
-        summary = os.path.join(out_dir, name, "summary.csv")
-        write_trace_csv(trace, result)
-        write_summary_csv(summary, result.summary_rows())
+        result, (trace, summary, *tables) = write_campaign(cfg, os.path.join(out_dir, name))
         for path in (trace, summary):
             print(f"{_sha256(path)}  {os.path.relpath(path, out_dir)}", flush=True)
         print(f"{float_digest(result.rows)}  {name}/rows.float64", flush=True)
-        for path in write_figure_tables(summary):
+        for path in tables:
             print(f"{_sha256(path)}  {os.path.relpath(path, out_dir)}", flush=True)
 
 

@@ -301,16 +301,7 @@ def test_criterion_6_mae_predicts_se():
 
 def test_criterion_7_integrated_beats_gps_only():
     t0 = time.perf_counter()
-    cfg = ScenarioConfig(
-        run_trials=500,
-        run_blocks=20,
-        run_schemes=("hybrid_gpr", "gps_only"),
-        link_snr_db=(10.0,),
-        sensors_sigma_gps_m=5.0,
-        sensors_sigma_ins_m=5.0,
-        sensors_sigma_heading_deg=0.05,
-    )
-    rows = run_campaign(cfg).rows
+    rows = run_campaign(ScenarioConfig.from_file(str(CONFIGS / "criterion7.conf"))).rows
     per_trial = {}
     for r in rows:
         per_trial.setdefault(r.scheme, {}).setdefault(r.trial, []).append(r.norm_gain)

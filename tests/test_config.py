@@ -194,6 +194,34 @@ def test_nominal_config_file_equals_the_defaults():
     assert keys == set(FIELD_TYPES)  # the full set: every schema key, at its default
 
 
+def test_campaign_config_files_pin_their_campaigns():
+    # the golden trace, criterion 7 and the fig8 sweep, as the code built
+    # them before they moved into configs/
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    expected = {
+        "golden.conf": ScenarioConfig(
+            run_trials=2, run_blocks=4, run_seed=2024,
+            run_schemes=("hybrid_gpr", "analog_gpr", "gps_only", "perturbation", "codebook_max"),
+            link_snr_db=(10.0, 30.0), estimator_phase_bits=(5, 6),
+            sensors_sigma_gps_m=5.0, sensors_sigma_ins_m=5.0, sensors_sigma_heading_deg=0.05,
+        ),
+        "criterion7.conf": ScenarioConfig(
+            run_trials=500, run_blocks=20, run_schemes=("hybrid_gpr", "gps_only"),
+            link_snr_db=(10.0,),
+            sensors_sigma_gps_m=5.0, sensors_sigma_ins_m=5.0, sensors_sigma_heading_deg=0.05,
+        ),
+        "phase_bits.conf": ScenarioConfig(
+            run_trials=200, run_blocks=1, run_seed=0, run_schemes=("analog_gpr", "codebook_max"),
+            link_snr_db=(10.0, 20.0), estimator_phase_bits=(4, 5, 6, 7, 8),
+            sensors_sigma_gps_m=4.0,
+        ),
+    }
+    for name, cfg in expected.items():
+        assert ScenarioConfig.from_file(str(root / name)) == cfg, name
+
+
 @pytest.mark.parametrize(
     "line", ["estimator.fit_noise = false", "estimator.perturbation_delta = 0.03",
              "mobility.noise_mode = literal"],

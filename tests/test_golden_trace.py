@@ -1,7 +1,7 @@
 """Golden-trace guard: a small campaign must replay the checked-in trace.
 
-The campaign covers every scheme at two SNRs and two phase-bit settings
-over a few trials and blocks. Iteration and measurement counts, and every
+The campaign, configs/golden.conf, covers every scheme at two SNRs and two
+phase-bit settings over a few trials and blocks. Iteration and measurement counts, and every
 key column, must match exactly; float columns may move only by the stated
 roundoff tolerance, so a change that reorders floating-point arithmetic
 in the GP fit (say, a different LAPACK entry point) passes while a change
@@ -21,17 +21,7 @@ from uavtrack.config import SCHEMES, ScenarioConfig
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace.csv"
 
-CFG = ScenarioConfig(
-    run_trials=2,
-    run_blocks=4,
-    run_seed=2024,
-    run_schemes=SCHEMES,
-    link_snr_db=(10.0, 30.0),
-    estimator_phase_bits=(5, 6),
-    sensors_sigma_gps_m=5.0,
-    sensors_sigma_ins_m=5.0,
-    sensors_sigma_heading_deg=0.05,
-)
+CFG = ScenarioConfig.from_file(str(Path(__file__).resolve().parents[1] / "configs" / "golden.conf"))
 
 EXACT = ("schema_version", "trial", "block", "scheme", "snr_db", "phase_bits",
          "iterations", "measurements")

@@ -1,4 +1,4 @@
-"""Smoke tests of the paper-figure scripts at one trial, of the
+"""Smoke tests of the paper-figure script at one trial, of the
 equivalence campaigns' table, and of the paired timing script."""
 
 import csv
@@ -26,30 +26,47 @@ def _load(path: Path):
     return module
 
 
-@pytest.mark.parametrize(
-    "script, figures",
-    [
-        ("run_tracking.py", {"tracking_nominal": ("fig5", "fig6")}),
-        (
-            "run_estimation_sweep.py",
-            {"estimation_sweep": ("fig7", "fig9"), "phase_bits_sweep": ("fig8",)},
-        ),
-    ],
-)
-def test_figure_script_writes_its_tables(tmp_path, script, figures):
-    env = dict(os.environ)
+def _run_figures(out_dir: Path, **environ) -> dict[str, bytes]:
+    """figures.py at one trial over the paper's three configs, with no UAVTRACK_*
+    variable set but those in environ; each CSV's bytes by its path under out_dir."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("UAVTRACK_")} | environ
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    configs = ("tracking_nominal.conf", "estimation_sweep.conf", "phase_bits.conf")
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--trials", "1", "--out", str(tmp_path)],
+        [sys.executable, str(ROOT / "scripts" / "figures.py"), "--trials", "1", str(out_dir),
+         *(str(ROOT / "configs" / c) for c in configs)],
         capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0, done.stderr
-    for run_dir, names in figures.items():
-        for name in names:
-            with open(tmp_path / run_dir / f"{name}.csv", newline="") as f:
-                rows = list(csv.reader(f))
-            assert len(rows) >= 2, f"{run_dir}/{name}.csv has no data row"
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in out_dir.rglob("*.csv")}
+
+
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    return _run_figures(tmp_path_factory.mktemp("figures"))
+
+
+def test_figures_writes_each_configs_tables(figures_run):
+    tables = {}
+    for name, blob in figures_run.items():
+        run_dir, file = name.split("/")
+        if file.startswith("fig"):
+            tables.setdefault(run_dir, set()).add(file)
+            rows = list(csv.reader(blob.decode().splitlines()))
+            assert len(rows) >= 2, f"{name} has no data row"
             assert all(len(r) == len(rows[0]) for r in rows[1:])
+        else:
+            assert file in ("trace.csv", "summary.csv")
+    assert tables == {
+        "tracking_nominal": {"fig5.csv", "fig6.csv"},
+        "estimation_sweep": {"fig7.csv", "fig9.csv"},
+        "phase_bits": {"fig8.csv", "fig9.csv"},
+    }
+
+
+def test_figures_ignores_uavtrack_environment(tmp_path, figures_run):
+    # the configs are read as files, not through the CLI's UAVTRACK_* fallbacks
+    assert _run_figures(tmp_path, UAVTRACK_SCHEMES="gps_only", UAVTRACK_SEED="7") == figures_run
 
 
 def test_reference_campaigns_are_valid_configs():
@@ -64,19 +81,17 @@ def test_reference_campaigns_are_valid_configs():
     assert (outage.run_trials, outage.run_blocks) == (4, 100)
     assert outage.schedule().gps_every >= outage.run_blocks
     assert "hybrid_gpr" in outage.run_schemes
-    # the golden campaign is the one the golden-trace test replays
-    assert campaigns["golden"] == _load(ROOT / "tests" / "test_golden_trace.py").CFG
 
 
 def test_reference_campaigns_write_fifteen_figure_tables(tmp_path):
     # which figures a campaign supports depends on its axes and schemes, not
     # on its trial count, so one trial each shows the full run's tables
-    reference_runs = _load(ROOT / "scripts" / "reference_runs.py")
+    write_figure_tables = _load(ROOT / "scripts" / "figures.py").write_figure_tables
     written = {}
-    for name, cfg in reference_runs.campaigns().items():
+    for name, cfg in _load(ROOT / "scripts" / "reference_runs.py").campaigns().items():
         summary = tmp_path / name / "summary.csv"
         write_summary_csv(str(summary), run_campaign(cfg.override(run_trials=1)).summary_rows())
-        paths = reference_runs.write_figure_tables(str(summary))
+        paths = write_figure_tables(str(summary))
         assert all(os.path.dirname(p) == str(summary.parent) for p in paths)
         written[name] = [os.path.basename(p) for p in paths]
     by_block = ["fig5.csv", "fig6.csv"]
