@@ -46,22 +46,29 @@ def figures_run(tmp_path_factory):
     return _run_figures(tmp_path_factory.mktemp("figures"))
 
 
-def test_figures_writes_each_configs_tables(figures_run):
-    tables = {}
-    for name, blob in figures_run.items():
-        run_dir, file = name.split("/")
-        if file.startswith("fig"):
-            tables.setdefault(run_dir, set()).add(file)
-            rows = list(csv.reader(blob.decode().splitlines()))
-            assert len(rows) >= 2, f"{name} has no data row"
-            assert all(len(r) == len(rows[0]) for r in rows[1:])
-        else:
-            assert file in ("trace.csv", "summary.csv")
-    assert tables == {
-        "tracking_nominal": {"fig5.csv", "fig6.csv"},
-        "estimation_sweep": {"fig7.csv", "fig9.csv"},
-        "phase_bits": {"fig8.csv", "fig9.csv"},
+# figures.py writes the tables two scripts wrote before it; each case checks
+# one script's tables, under the case id it had then
+@pytest.mark.parametrize(
+    "figures",
+    [
+        pytest.param({"tracking_nominal": {"fig5.csv", "fig6.csv"}}, id="run_tracking.py-figures0"),
+        pytest.param(
+            {"estimation_sweep": {"fig7.csv", "fig9.csv"}, "phase_bits": {"fig8.csv", "fig9.csv"}},
+            id="run_estimation_sweep.py-figures1",
+        ),
+    ],
+)
+def test_figure_script_writes_its_tables(figures_run, figures):
+    assert {name.split("/")[0] for name in figures_run} == {
+        "tracking_nominal", "estimation_sweep", "phase_bits",
     }
+    for run_dir, tables in figures.items():
+        files = {name.split("/")[1] for name in figures_run if name.startswith(f"{run_dir}/")}
+        assert files == {"trace.csv", "summary.csv"} | tables
+        for table in tables:
+            rows = list(csv.reader(figures_run[f"{run_dir}/{table}"].decode().splitlines()))
+            assert len(rows) >= 2, f"{run_dir}/{table} has no data row"
+            assert all(len(r) == len(rows[0]) for r in rows[1:])
 
 
 def test_figures_ignores_uavtrack_environment(tmp_path, figures_run):
