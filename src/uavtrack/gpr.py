@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class Hyperparams:
     sigma_n: float
 
     def __post_init__(self):
+        names = ("sigma_s", "lengthscales[0]", "lengthscales[1]", "sigma_n")
+        for name, value in zip(names, self.as_list()):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.sigma_s <= 0.0 or min(self.lengthscales) <= 0.0:
             raise ValueError("sigma_s and length scales must be positive")
         if self.sigma_n < 0.0:
@@ -61,14 +66,28 @@ class Hyperparams:
     def as_list(self) -> list[float]:
         return [self.sigma_s, *self.lengthscales, self.sigma_n]
 
+    @cached_property
+    def lengthscales_sq(self) -> np.ndarray:
+        """The squared length scales, built once per instance."""
+        sq = np.array([ell**2 for ell in self.lengthscales])
+        sq.flags.writeable = False
+        return sq
+
 
 @dataclass(frozen=True)
 class FitResult:
-    hyperparams: Hyperparams
+    """The accepted iterate as a factorized model, bit for bit
+    make_model(x, y, hyperparams) unless the fit took no step from a model."""
+
+    model: GprModel
     log_marginal: float
     iterations: int
     warning: str | None = None
     trace: tuple[float, ...] = field(default=())
+
+    @property
+    def hyperparams(self) -> Hyperparams:
+        return self.model.hp
 
 
 def _se(sq, v: list[float], out: np.ndarray | None = None) -> np.ndarray:
@@ -177,12 +196,15 @@ class _Objective:
                 )
             jitter *= 10.0
 
+    def log_marginal(self, chol: np.ndarray, alpha: np.ndarray) -> float:
+        lml = self.neg_half_y @ alpha - np.log(chol.diagonal()).sum() - self.lml_const
+        return float(lml)
+
     def evaluate(self, v: list[float]):
         """(K, L, jitter, alpha, log marginal likelihood) at one parameter point."""
         k, chol, jitter = self.chol(v)
         alpha = _cho_solve(chol, self.y)
-        lml = self.neg_half_y @ alpha - np.log(chol.diagonal()).sum() - self.lml_const
-        return k, chol, jitter, alpha, float(lml)
+        return k, chol, jitter, alpha, self.log_marginal(chol, alpha)
 
     def derivatives(
         self,
@@ -304,7 +326,7 @@ def _ascent_step(g: np.ndarray, fisher: np.ndarray, hess: np.ndarray) -> list[fl
 def fit_hyperparams(
     x: np.ndarray,
     y: np.ndarray,
-    init: Hyperparams | None = None,
+    init: Hyperparams | GprModel | None = None,
     max_iter: int = 60,
 ) -> FitResult:
     """Maximize the log marginal likelihood by safeguarded Newton steps.
@@ -318,9 +340,20 @@ def fit_hyperparams(
     fit stops when the step's predicted gain 0.5 g^T step falls below
     FIT_TOL nats, when no halving raises the likelihood (with a warning),
     or after max_iter iterations.
+
+    init may be a model of this x and y: the search starts from its
+    hyperparameters, and its factor and alpha serve as the first
+    evaluation unless the bound clamp moves the start. The accepted
+    iterate comes back as FitResult.model.
     """
     obj = _Objective(x, y)
-    hp = init if init is not None else default_init(obj.x, obj.y)
+    start = init if isinstance(init, GprModel) else None
+    if start is not None:
+        if not (np.array_equal(start.x, obj.x) and np.array_equal(start.y, obj.y)):
+            raise ValueError("init model holds other training data than x and y")
+        hp = start.hp
+    else:
+        hp = init if init is not None else default_init(obj.x, obj.y)
     lo, hi = math.log(BOUND_LO), math.log(BOUND_HI)
     # vals, theta and the step live in lists: the loop does a handful of scalar
     # operations per probe, which cost less on floats than on small arrays.
@@ -328,7 +361,11 @@ def fit_hyperparams(
     # so a fit that takes no step returns its init unchanged.
     vals = [min(max(p, BOUND_LO), BOUND_HI) for p in hp.as_list()]
     theta = [math.log(p) for p in vals]
-    k, chol, jitter, alpha, lml = obj.evaluate(vals)
+    if start is not None and vals == hp.as_list():
+        k, chol, jitter, alpha = obj.gram(vals), start.chol, start.jitter, start.alpha
+        lml = obj.log_marginal(chol, alpha)
+    else:
+        k, chol, jitter, alpha, lml = obj.evaluate(vals)
     trace = [lml]
     warning = None
     it = 0
@@ -375,8 +412,10 @@ def fit_hyperparams(
         if not accepted:
             warning = "no ascent step found; returning best iterate"
             break
+    if vals != hp.as_list():
+        hp = Hyperparams(sigma_s=vals[0], lengthscales=(vals[1], vals[2]), sigma_n=vals[3])
     return FitResult(
-        hyperparams=Hyperparams(sigma_s=vals[0], lengthscales=(vals[1], vals[2]), sigma_n=vals[3]),
+        model=GprModel(x=obj.x, y=obj.y, hp=hp, chol=chol, alpha=alpha, jitter=jitter),
         log_marginal=lml,
         iterations=it,
         warning=warning,
@@ -415,18 +454,22 @@ class GprModel:
         d the new diagonal minus t^T t; falls back to a fresh
         factorization if roundoff drives d nonpositive.
         """
-        x_new = np.asarray(x_new, dtype=float).reshape(1, 2)
-        x_all = np.concatenate((self.x, x_new))
-        y_all = np.append(self.y, y_new)
-        _check_finite(x_new, y_all[-1:], first_row=self.n)
-        k_last = kernel(x_all, x_new[0], self.hp)  # k(X, x_new), then sigma_s^2
-        t = _solve_lower(self.chol, k_last[:-1])
+        n = self.n
+        x_all = np.empty((n + 1, 2))
+        x_all[:n] = self.x
+        x_all[n] = x_new
+        y_all = np.empty(n + 1)
+        y_all[:n] = self.y
+        y_all[n] = y_new
+        _check_finite(x_all[n:], y_all[n:], first_row=n)
+        k_last = kernel(x_all, x_all[n], self.hp)  # k(X, x_new), then sigma_s^2
+        t = _solve_lower(self.chol, k_last[:n])
         d2 = self.hp.sigma_s**2 + self.hp.sigma_n**2 + self.jitter - t @ t
         if d2 <= 0.0:
             return make_model(x_all, y_all, self.hp)
-        n = self.n
-        chol = np.zeros((n + 1, n + 1), order="F")  # dpotrf's layout: LAPACK reads it uncopied
+        chol = np.empty((n + 1, n + 1), order="F")  # dpotrf's layout: LAPACK reads it uncopied
         chol[:n, :n] = self.chol
+        chol[:n, n] = 0.0
         chol[n, :n] = t
         chol[n, n] = math.sqrt(d2)
         alpha = _cho_solve(chol, y_all)
@@ -468,5 +511,5 @@ def posterior_mean_gradient(model: GprModel, xstar: np.ndarray) -> np.ndarray:
         k_cross = model.k_last
     else:
         k_cross = kernel(model.x, xstar, model.hp)
-    diffs = (xstar - model.x) / [ell**2 for ell in model.hp.lengthscales]
+    diffs = (xstar - model.x) / model.hp.lengthscales_sq
     return -(diffs * k_cross[:, None]).T @ model.alpha

@@ -24,7 +24,7 @@ import numpy as np
 from .beamforming import CandidateSet, candidate_set, grid_weights, steer_weights
 from .channel import ArrayConfig, LinkBudget, measure_beams
 from .geometry import Position3, SpatialAngles, position_from_angles
-from .gpr import fit_hyperparams, make_model, posterior, posterior_mean_gradient
+from .gpr import default_init, fit_hyperparams, make_model, posterior, posterior_mean_gradient
 from .metrics import normalized_gain
 from .sensors import SensorReading
 
@@ -160,10 +160,14 @@ def _sweep(sound, cands: CandidateSet, beams: np.ndarray):
 
 
 def _initial_surface(sound, cands: CandidateSet, beams: np.ndarray):
-    """The surrogate fitted to a grid sweep, and the sweep's loudest point."""
+    """The surrogate fitted to a grid sweep, and the sweep's loudest point.
+
+    The fit starts from the model factorized at the data-driven initial
+    hyperparameters; this is the one make_model call of a refine.
+    """
     y, x0 = _sweep(sound, cands, beams)
-    fit = fit_hyperparams(cands.points, y, max_iter=FIT_MAX_ITER)
-    return make_model(cands.points, y, fit.hyperparams), x0
+    model = make_model(cands.points, y, default_init(cands.points, y))
+    return fit_hyperparams(cands.points, y, model, FIT_MAX_ITER).model, x0
 
 
 def _ascend(x0: np.ndarray, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, probe):
@@ -222,8 +226,7 @@ def refine_hybrid(
         y = float(sound(steer_weights(float(x[0]), float(x[1]), cfg))[0])
         model = model.with_point(x, y)
         if (model.n - cands.size) % est.refit_every == 0:
-            fit = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER)
-            model = make_model(model.x, model.y, fit.hyperparams)
+            model = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER).model
         return y, posterior_mean_gradient(model, x)
 
     x, iterations = _ascend(x0, cands, est, budget, probe)

@@ -51,6 +51,18 @@ def test_hyperparams_validation():
     Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "where, name",
+    [(0, "sigma_s"), (1, "lengthscales\\[0\\]"), (2, "lengthscales\\[1\\]"), (3, "sigma_n")],
+)
+def test_hyperparams_reject_non_finite_values(where, name, bad):
+    v = [1.0, 0.1, 0.1, 0.01]
+    v[where] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        Hyperparams(sigma_s=v[0], lengthscales=(v[1], v[2]), sigma_n=v[3])
+
+
 def test_kernel_diagonal_is_signal_variance():
     x = np.array([[0.1, -0.2], [0.0, 0.3]])
     k = kernel(x, x, HP)
@@ -291,6 +303,69 @@ def test_fit_warm_started_at_its_optimum_takes_no_step():
     assert again.iterations == 0
     assert again.hyperparams == first.hyperparams
     assert again.trace == (first.log_marginal,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60))
+def test_fit_hands_back_the_model_make_model_builds(seed, n):
+    x, y = _prior_draw(seed, n)
+    for init in (None, make_model(x, y, default_init(x, y))):
+        fit = fit_hyperparams(x, y, init, tr.FIT_MAX_ITER)
+        fresh = make_model(x, y, fit.hyperparams)
+        assert fit.model.hp is fit.hyperparams
+        assert fit.model.jitter == fresh.jitter
+        assert np.array_equal(fit.model.chol, fresh.chol)
+        assert np.array_equal(fit.model.alpha, fresh.alpha)
+        assert np.array_equal(fit.model.x, x) and np.array_equal(fit.model.y, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), appends=st.integers(1, 5))
+def test_fit_from_an_appended_model_matches_one_from_a_fresh_factor(seed, n, appends):
+    x, y = _prior_draw(seed, n + appends)
+    hp = default_init(x[:n], y[:n])
+    grown = make_model(x[:n], y[:n], hp)
+    for px, py in zip(x[n:], y[n:]):
+        grown = grown.with_point(px, py)
+    fresh = make_model(x, y, hp)
+    a = fit_hyperparams(grown.x, grown.y, grown, tr.REFIT_MAX_ITER)
+    b = fit_hyperparams(x, y, fresh, tr.REFIT_MAX_ITER)
+    assert (a.iterations, a.warning, len(a.trace)) == (b.iterations, b.warning, len(b.trace))
+    assert np.allclose(a.hyperparams.as_list(), b.hyperparams.as_list(), rtol=1e-9, atol=0.0)
+
+
+def test_fit_from_a_model_takes_its_factor_as_the_first_evaluation(monkeypatch):
+    x, y = _prior_draw(14)
+    first = fit_hyperparams(x, y, max_iter=200)
+    factorized = []
+    real = gpr.dpotrf
+
+    def counting(a, **kwargs):
+        factorized.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(gpr, "dpotrf", counting)
+    again = fit_hyperparams(x, y, first.model, 200)
+    # at its optimum the fit takes no step, so the only factorizations are
+    # the 4 x 4 step metrics, none of the Gram matrix
+    assert again.iterations == 0
+    assert all(shape == (4, 4) for shape in factorized)
+    assert again.model.chol is first.model.chol
+    assert again.trace == (first.log_marginal,)
+    # a start the bound clamp moves is factorized afresh
+    clamped = replace(first.model, hp=replace(first.hyperparams, sigma_n=0.0))
+    factorized.clear()
+    fit_hyperparams(x, y, clamped, 0)
+    assert factorized == [(len(y), len(y))]
+
+
+def test_fit_rejects_a_model_of_other_data():
+    x, y = _prior_draw(14, 20)
+    model = make_model(x, y, HP)
+    with pytest.raises(ValueError, match="init model holds other training data"):
+        fit_hyperparams(x, y + 1.0, model)
+    with pytest.raises(ValueError, match="init model holds other training data"):
+        fit_hyperparams(x[:-1], y[:-1], model)
 
 
 def test_fit_ends_within_tolerance_of_converged_reference(monkeypatch):
