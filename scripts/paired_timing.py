@@ -22,8 +22,10 @@ Printed: the first quartile, median and third quartile of the CPU time
 per pass of each version (this process and its joined workers; run under
 `taskset -c 0` for a serial run) and of its wall time per pass, the
 medians of the per-pair ratios new / old of both, the number of pairs the
-new version won on CPU time and on wall time, and the number of pairs
-whose trace.csv bytes were equal. A speed-up is shown when the new version
+new version won on CPU time and on wall time, the number of pairs whose
+trace.csv bytes were equal, and the number whose trace.csv `iterations`
+and `measurements` columns were equal: a change that moves roundoff keeps
+the counts but not the bytes. A speed-up is shown when the new version
 wins at least nine pairs in ten and its median lies further from the old
 median than the old quartiles lie from each other.
 
@@ -101,6 +103,14 @@ class Version:
             return f.read()
 
 
+def _counts(trace: bytes) -> list[tuple[bytes, bytes]]:
+    """The (iterations, measurements) cells of every trace.csv row."""
+    header, *rows = trace.splitlines()
+    cols = header.split(b",")
+    i, m = cols.index(b"iterations"), cols.index(b"measurements")
+    return [(cells[i], cells[m]) for cells in (row.split(b",") for row in rows)]
+
+
 def _quartiles_ms(seconds: list[float]) -> str:
     """First quartile, median and third quartile, in milliseconds."""
     q = statistics.quantiles(seconds, n=4, method="inclusive") if len(seconds) > 1 else seconds * 3
@@ -131,13 +141,14 @@ def main(argv=None) -> int:
             )
         sys.path.insert(0, tmp)
         old, new = Version("uavtrack_old", tmp), Version("uavtrack_new", tmp)
-        same = 0
+        same = same_counts = 0
         with new.pkg.blas.one_blas_thread():
             for i in range(args.passes):
                 seed = campaign_seed(args.seed, i)
                 pair = (old, new) if i % 2 == 0 else (new, old)
                 traces = {v: v.run_pass(args.workload, seed, trials) for v in pair}
                 same += traces[old] == traces[new]
+                same_counts += _counts(traces[old]) == _counts(traces[new])
 
     ratios = [b / a for a, b in zip(old.cpu, new.cpu)]
     wall_ratios = [b / a for a, b in zip(old.wall, new.wall)]
@@ -152,6 +163,7 @@ def main(argv=None) -> int:
         f"  new faster in {wins}/{args.passes} pairs on CPU, {wall_wins}/{args.passes} on wall;"
         f" trace.csv equal in {same}/{args.passes}"
     )
+    print(f"  iterations and measurements equal in {same_counts}/{args.passes}")
     return 0
 
 

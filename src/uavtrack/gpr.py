@@ -349,8 +349,9 @@ def fit_hyperparams(
     obj = _Objective(x, y)
     start = init if isinstance(init, GprModel) else None
     if start is not None:
-        if not (np.array_equal(start.x, obj.x) and np.array_equal(start.y, obj.y)):
-            raise ValueError("init model holds other training data than x and y")
+        for held, given in ((start.x, obj.x), (start.y, obj.y)):
+            if held is not given and not np.array_equal(held, given):
+                raise ValueError("init model holds other training data than x and y")
         hp = start.hp
     else:
         hp = init if init is not None else default_init(obj.x, obj.y)
@@ -461,7 +462,9 @@ class GprModel:
         y_all = np.empty(n + 1)
         y_all[:n] = self.y
         y_all[n] = y_new
-        _check_finite(x_all[n:], y_all[n:], first_row=n)
+        # _check_finite's own test, on scalars, which cost less than sums
+        if not math.isfinite(x_all[n, 0] + x_all[n, 1] + y_all[n]):
+            _check_finite(x_all[n:], y_all[n:], first_row=n)
         k_last = kernel(x_all, x_all[n], self.hp)  # k(X, x_new), then sigma_s^2
         t = _solve_lower(self.chol, k_last[:n])
         d2 = self.hp.sigma_s**2 + self.hp.sigma_n**2 + self.jitter - t @ t

@@ -226,7 +226,7 @@ def refine_hybrid(
         y = float(sound(steer_weights(float(x[0]), float(x[1]), cfg))[0])
         model = model.with_point(x, y)
         if (model.n - cands.size) % est.refit_every == 0:
-            model = fit_hyperparams(model.x, model.y, model.hp, REFIT_MAX_ITER).model
+            model = fit_hyperparams(model.x, model.y, model, REFIT_MAX_ITER).model
         return y, posterior_mean_gradient(model, x)
 
     x, iterations = _ascend(x0, cands, est, budget, probe)

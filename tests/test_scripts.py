@@ -147,7 +147,8 @@ def test_paired_timing_compares_a_tree_with_itself():
     assert "median per-pass ratio new/old" in done.stdout
     assert "median per-pass wall ratio new/old" in done.stdout
     assert all(" ms, wall " in line for line in lines[1:3])
-    assert lines[-1].endswith("trace.csv equal in 2/2")
+    assert lines[-2].endswith("trace.csv equal in 2/2")
+    assert lines[-1] == "  iterations and measurements equal in 2/2"
     # quartiles of CPU and of wall time per version, each in order
     num = r"\s+(\d+\.\d+)"
     for name, line in zip(("old", "new"), lines[1:3]):
@@ -159,4 +160,13 @@ def test_paired_timing_compares_a_tree_with_itself():
         assert m, line
         q = [float(v) for v in m.groups()]
         assert 0.0 < q[0] <= q[1] <= q[2] and 0.0 < q[3] <= q[4] <= q[5]
-    assert re.fullmatch(r"  new faster in [0-2]/2 pairs on CPU, [0-2]/2 on wall; .*", lines[-1])
+    assert re.fullmatch(r"  new faster in [0-2]/2 pairs on CPU, [0-2]/2 on wall; .*", lines[-2])
+
+
+def test_paired_timing_counts_read_only_the_count_columns():
+    counts = _load(ROOT / "scripts" / "paired_timing.py")._counts
+    header = b"trial,scheme,est_u,iterations,measurements\n"
+    base = counts(header + b"0,hybrid_gpr,0.25,11,20\n0,gps_only,0.5,0,0\n")
+    assert base == [(b"11", b"20"), (b"0", b"0")]
+    assert counts(header + b"0,hybrid_gpr,0.2500001,11,20\n0,gps_only,0.5,0,0\n") == base
+    assert counts(header + b"0,hybrid_gpr,0.25,12,21\n0,gps_only,0.5,0,0\n") != base

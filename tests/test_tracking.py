@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavtrack import gpr
 from uavtrack import tracking as tr
 from uavtrack.beamforming import candidate_set, grid_weights, precoder_from_angle
 from uavtrack.channel import ArrayConfig, LinkBudget, effective_channel, measure_beams
 from uavtrack.geometry import Position3, SpatialAngles, arrival_angles
-from uavtrack.gpr import fit_hyperparams, make_model, posterior, posterior_mean_gradient
+from uavtrack.gpr import (
+    GprModel,
+    fit_hyperparams,
+    kernel,
+    make_model,
+    posterior,
+    posterior_mean_gradient,
+)
 from uavtrack.tracking import (
     EstimatorConfig,
     baseline_codebook,
@@ -205,6 +213,56 @@ def test_hybrid_refits_every_refit_every_appends(monkeypatch):
     r = _ascent_run(refine_hybrid, epsilon_scale=0.0, max_iterations=7, refit_every=3)
     assert r.iterations == 7
     assert calls["n"] == 1 + 7 // 3  # the sweep's fit, then after appends 3 and 6
+
+
+@pytest.mark.parametrize("fn, refits", [(refine_hybrid, 4), (refine_analog, 0)])
+def test_no_refine_factorizes_a_matrix_twice(monkeypatch, fn, refits):
+    grams, made, fits = [], [], []
+    evaluations = {"n": 0}
+    real_dpotrf, real_make = gpr.dpotrf, gpr.make_model
+    real_fit, real_evaluate = tr.fit_hyperparams, gpr._Objective.evaluate
+
+    def dpotrf(a, **kwargs):
+        if a.shape[0] > 4:  # a Gram matrix, not a fit step's 4 x 4 metric
+            grams.append(a.copy())  # before dpotrf overwrites it
+        return real_dpotrf(a, **kwargs)
+
+    def counting_make(*args):
+        made.append(args)
+        return real_make(*args)
+
+    def evaluate(self, v):
+        evaluations["n"] += 1
+        return real_evaluate(self, v)
+
+    def fit(*args, **kwargs):
+        g0, e0 = len(grams), evaluations["n"]
+        out = real_fit(*args, **kwargs)
+        init = args[2] if len(args) > 2 else kwargs.get("init")
+        fits.append((init, grams[g0:], evaluations["n"] - e0))
+        return out
+
+    monkeypatch.setattr(gpr, "dpotrf", dpotrf)
+    monkeypatch.setattr(gpr, "make_model", counting_make)  # with_point's fallback
+    monkeypatch.setattr(tr, "make_model", counting_make)
+    monkeypatch.setattr(gpr._Objective, "evaluate", evaluate)
+    monkeypatch.setattr(tr, "fit_hyperparams", fit)
+    r = _ascent_run(fn, epsilon_scale=0.0, max_iterations=12, refit_every=3)
+    assert r.iterations == 12
+    assert len(made) == 1  # the initial surface's
+    assert len(fits) == 1 + refits
+    # every factorization is of a new matrix: no fit is followed by a
+    # make_model of its accepted iterate
+    assert len({g.tobytes() for g in grams}) == len(grams)
+    # one factorization per evaluation, and no fit evaluates at its start:
+    # each starts from a model and takes that model's factor
+    assert len(grams) == 1 + sum(n for *_, n in fits)
+    for init, during, n in fits:
+        assert isinstance(init, GprModel)
+        assert len(during) == n
+        kn = kernel(init.x, init.x, init.hp)
+        kn.ravel()[:: init.n + 1] += init.hp.sigma_n**2 + init.jitter
+        assert not any(np.array_equal(g, kn) for g in during)
 
 
 def test_analog_noiseless_beats_quantization_floor():
