@@ -315,9 +315,10 @@ def _ascent_step(g: np.ndarray, fisher: np.ndarray, hess: np.ndarray) -> list[fl
     g_i / ridge instead of an unbounded one. Falls back to the gradient
     when neither metric factorizes.
     """
-    ridge = RIDGE * float(fisher.diagonal().max()) * np.eye(len(g))
-    for metric in (-hess, fisher):
-        factor, info = dpotrf(metric + ridge, lower=1)
+    ridge = RIDGE * float(fisher.diagonal().max())
+    for metric in (-hess, fisher.copy()):
+        metric.ravel()[:: len(g) + 1] += ridge  # the off-diagonals would gain exactly 0.0
+        factor, info = dpotrf(metric, lower=1, overwrite_a=1)
         if info == 0:
             return _cho_solve(factor, g).tolist()
     return g.tolist()
