@@ -25,9 +25,10 @@ medians of the per-pair ratios new / old of both, the number of pairs the
 new version won on CPU time and on wall time, the number of pairs whose
 trace.csv bytes were equal, and the number whose trace.csv `iterations`
 and `measurements` columns were equal: a change that moves roundoff keeps
-the counts but not the bytes. A speed-up is shown when the new version
-wins at least nine pairs in ten and its median lies further from the old
-median than the old quartiles lie from each other.
+the counts but not the bytes. The last line, `gain shown: yes` or `no`,
+applies the rule for a speed-up: the new version wins at least nine pairs
+in ten on CPU time, and its median CPU time lies below the old median by
+more than the old quartiles lie from each other.
 
 Separate runs of the same code on a shared machine can differ by half their
 time, which hides a change of a few percent; paired passes in one process
@@ -111,10 +112,23 @@ def _counts(trace: bytes) -> list[tuple[bytes, bytes]]:
     return [(cells[i], cells[m]) for cells in (row.split(b",") for row in rows)]
 
 
+def _quartiles(seconds: list[float]) -> list[float]:
+    """First quartile, median and third quartile."""
+    return statistics.quantiles(seconds, n=4, method="inclusive") if len(seconds) > 1 else seconds * 3
+
+
 def _quartiles_ms(seconds: list[float]) -> str:
     """First quartile, median and third quartile, in milliseconds."""
-    q = statistics.quantiles(seconds, n=4, method="inclusive") if len(seconds) > 1 else seconds * 3
+    q = _quartiles(seconds)
     return "  ".join(f"{label} {1e3 * v:9.2f}" for label, v in zip(("Q1", "median", "Q3"), q))
+
+
+def gain_shown(old_cpu: list[float], new_cpu: list[float]) -> bool:
+    """The new version wins at least nine pairs in ten, and its median lies
+    below the old median by more than the old interquartile range."""
+    wins = sum(b < a for a, b in zip(old_cpu, new_cpu))
+    q1, median, q3 = _quartiles(old_cpu)
+    return 10 * wins >= 9 * len(old_cpu) and median - statistics.median(new_cpu) > q3 - q1
 
 
 def main(argv=None) -> int:
@@ -164,6 +178,7 @@ def main(argv=None) -> int:
         f" trace.csv equal in {same}/{args.passes}"
     )
     print(f"  iterations and measurements equal in {same_counts}/{args.passes}")
+    print(f"gain shown: {'yes' if gain_shown(old.cpu, new.cpu) else 'no'}")
     return 0
 
 

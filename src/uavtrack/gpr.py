@@ -507,6 +507,7 @@ def posterior_mean_gradient(model: GprModel, xstar: np.ndarray) -> np.ndarray:
     """Analytic gradient of the predictive mean at one query point.
 
     d mean / d x*_d = sum_i -(x*_d - x_i_d) / ell_d^2 * k(x*, x_i) * alpha_i
+                    = (sum_i x_i_d c_i - x*_d sum_i c_i) / ell_d^2,  c = k * alpha
 
     At the point with_point appended last, its kernel column is reused.
     """
@@ -515,5 +516,5 @@ def posterior_mean_gradient(model: GprModel, xstar: np.ndarray) -> np.ndarray:
         k_cross = model.k_last
     else:
         k_cross = kernel(model.x, xstar, model.hp)
-    diffs = (xstar - model.x) / model.hp.lengthscales_sq
-    return -(diffs * k_cross[:, None]).T @ model.alpha
+    c = k_cross * model.alpha
+    return (model.x.T @ c - xstar * c.sum()) / model.hp.lengthscales_sq

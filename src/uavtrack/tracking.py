@@ -1,7 +1,11 @@
 """Angle trackers: sensor-seeded search refined on the beam surface.
 
-All schemes receive the same seeded candidate geometry and the same
-measurement interface. Measured magnitudes are rescaled by the known
+All schemes receive the same seeded candidate geometry and draw their
+pilot noise alike. Plain beams, the hybrid's and the perturbation
+baseline's, are sounded from the planar array's two axis responses
+(channel.BeamSounder); the phase-quantized beams of the analog and
+codebook schemes do not factor and are sounded as a weight stack through
+measure_beams. Measured magnitudes are rescaled by the known
 coherent array factor sqrt(nu * nx * ny) before entering any estimator,
 so surfaces peak near sqrt(es) regardless of array size and the step and
 stop constants keep their meaning across configurations.
@@ -21,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import CandidateSet, candidate_set, grid_weights, steer_weights
-from .channel import ArrayConfig, LinkBudget, measure_beams
+from .beamforming import CandidateSet, candidate_set, grid_weights
+# not called here: the benchmark's layer tracer wraps tracking.steer_weights
+from .beamforming import steer_weights  # noqa: F401
+from .channel import ArrayConfig, BeamSounder, LinkBudget, measure_beams
 from .geometry import Position3, SpatialAngles, position_from_angles
 from .gpr import default_init, fit_hyperparams, make_model, posterior, posterior_mean_gradient
 from .metrics import normalized_gain
@@ -96,16 +102,18 @@ def fuse_position(angles: SpatialAngles, gs_pos: Position3, delta_h: float) -> P
     return Position3(gs_pos.x + rel.x, gs_pos.y + rel.y, gs_pos.h + delta_h)
 
 
-def _clip_unit_disk(point: np.ndarray) -> np.ndarray:
-    r2 = float(point @ point)
+def _into_unit_disk(u: float, v: float) -> tuple[float, float]:
+    r2 = u * u + v * v
     if r2 >= 1.0:
-        point = point * (math.sqrt(1.0 - 1e-9) / math.sqrt(r2))
-    return point
+        scale = math.sqrt(1.0 - 1e-9) / math.sqrt(r2)
+        u, v = u * scale, v * scale
+    return u, v
 
 
-def _grid(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, grids, beams=None):
-    """The seeded search grid and, when beams is "plain" or "quantized", one
-    beam per grid point, phase-quantized to est.phase_bits for "quantized".
+def _grid(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, grids, beams=False):
+    """The seeded search grid and, when beams is true, one beam per grid
+    point, phase-quantized to est.phase_bits. Plain beams are sounded from
+    the axis responses (channel.BeamSounder) and need no stack.
 
     The grid is None when it carries no angular information: a single
     ground antenna has a flat beamspace, and a grid that clips to a point
@@ -114,9 +122,9 @@ def _grid(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, grids, be
 
     grids is one block's table, a dict, or None: at a GPS-fix block every SNR point and
     scheme is seeded at the fix and sounds the same beams. It is keyed on
-    the seed's exact bits (0.0 and -0.0 differ), the array, the phase bits
-    and the quantization, and its arrays are read-only because chains
-    share them. With no table, both are built afresh.
+    the seed's exact bits (0.0 and -0.0 differ), the array and the phase
+    bits, and its arrays are read-only because chains share them. With no
+    table, both are built afresh.
     """
     table = {} if grids is None else grids
     key = (struct.pack("2d", seed.u, seed.v), cfg, est.phase_bits)
@@ -134,66 +142,66 @@ def _grid(seed: SpatialAngles, cfg: ArrayConfig, est: EstimatorConfig, grids, be
             cands = None
         table[key] = cands
     cands = table[key]
-    if cands is None or beams is None:
+    if cands is None or not beams:
         return cands, None
-    stack_key = key + (beams,)
+    stack_key = key + ("quantized",)
     if stack_key not in table:
-        w = grid_weights(cands, cfg, est.phase_bits if beams == "quantized" else None)
+        w = grid_weights(cands, cfg, est.phase_bits)
         w.flags.writeable = False
         table[stack_key] = w
     return cands, table[stack_key]
 
 
-def _sounder(
-    heff: np.ndarray, cfg: ArrayConfig, budget: LinkBudget, rng: np.random.Generator
-):
-    """Beam magnitudes over the coherent array factor (metrics.normalized_gain)."""
-    return lambda weights: normalized_gain(measure_beams(heff, weights, budget, rng), cfg)
+def _measure_quantized(heff, beams, cfg: ArrayConfig, budget: LinkBudget, rng):
+    """Magnitudes of a quantized beam stack over the coherent array factor
+    (metrics.normalized_gain)."""
+    return normalized_gain(measure_beams(heff, beams, budget, rng), cfg)
 
 
-def _sweep(sound, cands: CandidateSet, beams: np.ndarray):
-    """Sound every candidate beam: the magnitudes, and the loudest grid point
-    pulled inside the unit disk (grid corners can stick past it for
-    near-horizon seeds, and infeasible cosines would break position fusion)."""
-    y = sound(beams)
-    return y, _clip_unit_disk(cands.points[int(np.argmax(y))])
+def _loudest(cands: CandidateSet, y: np.ndarray) -> tuple[float, float]:
+    """The loudest grid point of a sweep, pulled inside the unit disk (grid
+    corners can stick past it for near-horizon seeds, and infeasible
+    cosines would break position fusion)."""
+    return _into_unit_disk(*cands.points[int(np.argmax(y))].tolist())
 
 
-def _initial_surface(sound, cands: CandidateSet, beams: np.ndarray):
-    """The surrogate fitted to a grid sweep, and the sweep's loudest point.
+def _initial_surface(cands: CandidateSet, y: np.ndarray):
+    """The surrogate fitted to a grid sweep's magnitudes y, and the sweep's
+    loudest point.
 
     The fit starts from the model factorized at the data-driven initial
     hyperparameters; this is the one make_model call of a refine.
     """
-    y, x0 = _sweep(sound, cands, beams)
     model = make_model(cands.points, y, default_init(cands.points, y))
-    return fit_hyperparams(cands.points, y, model, FIT_MAX_ITER).model, x0
+    return fit_hyperparams(cands.points, y, model, FIT_MAX_ITER).model, _loudest(cands, y)
 
 
-def _ascend(x0: np.ndarray, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, probe):
-    """Ascent shared by the iterative schemes.
+def _ascend(x0, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, probe):
+    """Ascent shared by the iterative schemes, on Python floats.
 
-    Each iteration calls probe(x) -> (value, direction) at the iterate and
-    steps to x + eta * direction, clipped to the candidate box, then into
-    the unit disk (which near the horizon can leave the box). Stops when
-    consecutive values differ by less than epsilon_scale * sqrt(es), or at
-    the iteration cap. Returns the final iterate and the iteration count.
+    Each iteration calls probe(u, v) -> (value, (du, dv)) at the iterate
+    and steps to (u, v) + eta * (du, dv), clipped to the candidate box,
+    then into the unit disk (which near the horizon can leave the box).
+    Stops when consecutive values differ by less than epsilon_scale *
+    sqrt(es), or at the iteration cap. Returns the final iterate's u and
+    v and the iteration count.
     """
     eps = est.epsilon_scale * math.sqrt(budget.es)
-    x, t, f_prev = x0, 0, None
+    (lo_u, lo_v), (hi_u, hi_v) = cands.lo.tolist(), cands.hi.tolist()
+    (u, v), t, f_prev = x0, 0, None
     for t in range(1, est.max_iterations + 1):
-        f, g = probe(x)
-        x = _clip_unit_disk(cands.clip(x + est.eta * g))
+        f, (du, dv) = probe(u, v)
+        u, v = _into_unit_disk(
+            min(max(u + est.eta * du, lo_u), hi_u), min(max(v + est.eta * dv, lo_v), hi_v)
+        )
         if f_prev is not None and abs(f - f_prev) < eps:
             break
         f_prev = f
-    return x, t
+    return u, v, t
 
 
-def _result(x: np.ndarray, iterations: int, measurements: int) -> RefineResult:
-    return RefineResult(
-        u=float(x[0]), v=float(x[1]), iterations=iterations, measurements=measurements
-    )
+def _result(u: float, v: float, iterations: int, measurements: int) -> RefineResult:
+    return RefineResult(u=float(u), v=float(v), iterations=iterations, measurements=measurements)
 
 
 def refine_hybrid(
@@ -215,22 +223,24 @@ def refine_hybrid(
     threshold, or at the iteration cap. The iterate stays inside the
     unit disk, after a clip to the candidate box.
     """
-    cands, beams = _grid(seed, cfg, est, grids, "plain")
+    cands, _ = _grid(seed, cfg, est, grids)
     if cands is None:
         return baseline_gps_only(seed)
-    sound = _sounder(heff, cfg, budget, rng)
-    model, x0 = _initial_surface(sound, cands, beams)
+    sounder = BeamSounder(heff, cfg, budget, rng)
+    y = normalized_gain(sounder.grid(cands.u_values, cands.v_values), cfg)
+    model, x0 = _initial_surface(cands, y)
 
-    def probe(x):
+    def probe(u, v):
         nonlocal model
-        y = float(sound(steer_weights(float(x[0]), float(x[1]), cfg))[0])
+        x = np.array((u, v))
+        y = normalized_gain(sounder.point(u, v), cfg)
         model = model.with_point(x, y)
         if (model.n - cands.size) % est.refit_every == 0:
             model = fit_hyperparams(model.x, model.y, model, REFIT_MAX_ITER).model
-        return y, posterior_mean_gradient(model, x)
+        return y, posterior_mean_gradient(model, x).tolist()
 
-    x, iterations = _ascend(x0, cands, est, budget, probe)
-    return _result(x, iterations, cands.size + iterations)
+    u, v, iterations = _ascend(x0, cands, est, budget, probe)
+    return _result(u, v, iterations, cands.size + iterations)
 
 
 def refine_analog(
@@ -250,16 +260,17 @@ def refine_analog(
     predictive means differ by less than the threshold. No beam outside
     the quantized grid is ever sounded.
     """
-    cands, beams = _grid(seed, cfg, est, grids, "quantized")
+    cands, beams = _grid(seed, cfg, est, grids, beams=True)
     if cands is None:
         return baseline_gps_only(seed)
-    model, x0 = _initial_surface(_sounder(heff, cfg, budget, rng), cands, beams)
+    model, x0 = _initial_surface(cands, _measure_quantized(heff, beams, cfg, budget, rng))
 
-    def probe(x):
-        return float(posterior(model, x)[0][0]), posterior_mean_gradient(model, x)
+    def probe(u, v):
+        x = np.array((u, v))
+        return float(posterior(model, x)[0][0]), posterior_mean_gradient(model, x).tolist()
 
-    x, iterations = _ascend(x0, cands, est, budget, probe)
-    return _result(x, iterations, cands.size)
+    u, v, iterations = _ascend(x0, cands, est, budget, probe)
+    return _result(u, v, iterations, cands.size)
 
 
 def baseline_gps_only(seed: SpatialAngles) -> RefineResult:
@@ -289,16 +300,15 @@ def baseline_perturbation(
     if cands is None:
         return baseline_gps_only(seed)
     delta_p = cands.delta / 2.0
-    sound = _sounder(heff, cfg, budget, rng)
+    sounder = BeamSounder(heff, cfg, budget, rng)
 
-    def probe(x):
-        u, v = x
-        y3 = sound(steer_weights(np.array([u, u + delta_p, u]), np.array([v, v, v + delta_p]), cfg))
+    def probe(u, v):
+        y3 = normalized_gain(sounder.points((u, u + delta_p, u), (v, v, v + delta_p)), cfg)
         p0, pu, pv = (y3**2).tolist()
-        return p0, np.array([(pu - p0) / delta_p, (pv - p0) / delta_p])
+        return p0, ((pu - p0) / delta_p, (pv - p0) / delta_p)
 
-    x, iterations = _ascend(np.array([seed.u, seed.v]), cands, est, budget, probe)
-    return _result(x, iterations, 3 * iterations)
+    u, v, iterations = _ascend((seed.u, seed.v), cands, est, budget, probe)
+    return _result(u, v, iterations, 3 * iterations)
 
 
 def baseline_codebook(
@@ -316,8 +326,8 @@ def baseline_codebook(
     Ties resolve to the lowest flat index. The estimate is always a grid
     point, so its error floor is set by the grid pitch.
     """
-    cands, beams = _grid(seed, cfg, est, grids, "quantized")
+    cands, beams = _grid(seed, cfg, est, grids, beams=True)
     if cands is None:
         return baseline_gps_only(seed)
-    _, x = _sweep(_sounder(heff, cfg, budget, rng), cands, beams)
-    return _result(x, 0, cands.size)
+    u, v = _loudest(cands, _measure_quantized(heff, beams, cfg, budget, rng))
+    return _result(u, v, 0, cands.size)

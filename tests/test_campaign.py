@@ -366,9 +366,9 @@ def test_fix_block_grid_is_built_once_per_trial(monkeypatch):
 
         monkeypatch.setattr(tracking, name, counted)
     run_campaign(cfg)
-    # one grid, and one beam stack plain (hybrid_gpr) and one quantized
-    # (analog_gpr, codebook_max), per trial
-    assert calls == {"candidate_set": cfg.run_trials, "grid_weights": 2 * cfg.run_trials}
+    # one grid, and one quantized beam stack (analog_gpr, codebook_max), per
+    # trial; hybrid_gpr and perturbation sound plain beams without a stack
+    assert calls == {"candidate_set": cfg.run_trials, "grid_weights": cfg.run_trials}
 
 
 def test_shared_grids_change_no_row(monkeypatch):

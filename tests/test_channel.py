@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavtrack.beamforming import candidate_set, grid_weights, precoder_from_angle, steer_weights
 from uavtrack.channel import (
     ArrayConfig,
+    BeamSounder,
     LinkBudget,
     effective_channel,
     measure_beams,
@@ -13,7 +16,7 @@ from uavtrack.channel import (
     steering_upa,
 )
 from uavtrack.geometry import SpatialAngles
-from uavtrack.metrics import beam_gain
+from uavtrack.metrics import beam_gain, realized_gain
 
 CFG = ArrayConfig()
 
@@ -181,3 +184,51 @@ def test_measure_beams_bitwise_equals_unit_norm_formula():
             noise = np.sqrt(budget.sigma_n2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
             want = np.abs(w.conj() @ h * np.sqrt(budget.es) + noise)
             assert np.array_equal(got, want)
+
+
+_COSINE = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=150)
+@given(
+    cfg=st.sampled_from([ArrayConfig(8, 8), ArrayConfig(4, 6), ArrayConfig(8, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    rank_one=st.booleans(),
+    snr_db=st.floats(0.0, 30.0),
+    es=st.floats(0.1, 10.0),
+    u=st.lists(_COSINE, min_size=1, max_size=5),
+    v=st.lists(_COSINE, min_size=1, max_size=5),
+)
+def test_sounder_is_measure_beams_on_steered_beams(cfg, seed, rank_one, snr_db, es, u, v):
+    # one point, paired points and a grid of random cosines, against the
+    # steered weight stack measure_beams sounds; the generators must agree
+    # on their next draw afterwards, so the sounder takes the same normals
+    g = np.random.default_rng(seed)
+    if rank_one:
+        ua = g.uniform(-1.0, 1.0)
+        angles = SpatialAngles(g.uniform(-1.0, 1.0), g.uniform(-1.0, 1.0), u_a=ua)
+        heff = effective_channel(angles, precoder_from_angle(ua + 0.1, cfg.nu), np.exp(2j), cfg)
+    else:
+        heff = g.standard_normal(cfg.n_ground) + 1j * g.standard_normal(cfg.n_ground)
+    budget = LinkBudget(es=es, snr_db=snr_db)
+    u, v = np.array(u), np.array(v)
+    k = min(len(u), len(v))
+    # roundoff of either sum scales with ||h|| sqrt(es), not with a magnitude near a null
+    floor = 1e-12 * np.linalg.norm(heff) * math.sqrt(es)
+    cases = [
+        (lambda s: s.point(u[0], v[0]), steer_weights(u[0], v[0], cfg)),
+        (lambda s: s.points(u[:k], v[:k]), steer_weights(u[:k], v[:k], cfg)),
+        (lambda s: s.grid(u, v), steer_weights(u[:, None], v[None, :], cfg).reshape(-1, cfg.n_ground)),
+    ]
+    for sound, weights in cases:
+        mine, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = sound(BeamSounder(heff, cfg, budget, mine))
+        want = measure_beams(heff, weights, budget, theirs)
+        assert np.shape(got) == (() if weights.ndim == 1 else want.shape)
+        assert np.allclose(got, want, rtol=1e-12, atol=floor)
+        assert mine.standard_normal() == theirs.standard_normal()
+    noiseless = BeamSounder(heff, cfg)
+    for a, b in zip(u[:k], v[:k]):
+        want = realized_gain(steer_weights(a, b, cfg), heff)
+        assert math.isclose(noiseless.gain(a, b), want, rel_tol=1e-12, abs_tol=floor / math.sqrt(es))
+

@@ -138,17 +138,20 @@ def test_paired_timing_compares_a_tree_with_itself():
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "paired_timing.py"), src, src,
-         "--workload", "snr_sweep", "--passes", "2", "--trials", "1"],
+         "--workload", "snr_sweep", "--passes", "10", "--trials", "1"],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "workload snr_sweep, 1 trial(s) per pass, 2 passes each"
+    assert lines[0] == "workload snr_sweep, 1 trial(s) per pass, 10 passes each"
     assert "median per-pass ratio new/old" in done.stdout
     assert "median per-pass wall ratio new/old" in done.stdout
     assert all(" ms, wall " in line for line in lines[1:3])
-    assert lines[-2].endswith("trace.csv equal in 2/2")
-    assert lines[-1] == "  iterations and measurements equal in 2/2"
+    assert lines[-3].endswith("trace.csv equal in 10/10")
+    assert lines[-2] == "  iterations and measurements equal in 10/10"
+    # a tree is no faster than itself; ten pairs, since at two the first
+    # pass's cold start alone let it read "yes" in 7 runs of 15
+    assert lines[-1] == "gain shown: no"
     # quartiles of CPU and of wall time per version, each in order
     num = r"\s+(\d+\.\d+)"
     for name, line in zip(("old", "new"), lines[1:3]):
@@ -160,7 +163,21 @@ def test_paired_timing_compares_a_tree_with_itself():
         assert m, line
         q = [float(v) for v in m.groups()]
         assert 0.0 < q[0] <= q[1] <= q[2] and 0.0 < q[3] <= q[4] <= q[5]
-    assert re.fullmatch(r"  new faster in [0-2]/2 pairs on CPU, [0-2]/2 on wall; .*", lines[-2])
+    assert re.fullmatch(r"  new faster in \d+/10 pairs on CPU, \d+/10 on wall; .*", lines[-3])
+
+
+@pytest.mark.parametrize(
+    "old, new, shown",
+    [
+        ([10.0] * 9 + [11.0, 12.0], [8.0] * 11, True),  # 11/11 won, far below the old IQR
+        ([10.0] * 10, [9.0] * 9 + [11.0], True),  # 9/10 won, IQR 0
+        ([10.0] * 10, [9.0] * 8 + [11.0] * 2, False),  # 8/10 won
+        ([8.0, 9.0, 10.0, 11.0, 12.0], [7.5, 8.5, 9.5, 10.5, 11.5], False),  # within the IQR
+        ([10.0] * 10, [10.0] * 10, False),  # no pair won
+    ],
+)
+def test_paired_timing_gain_rule(old, new, shown):
+    assert _load(ROOT / "scripts" / "paired_timing.py").gain_shown(old, new) is shown
 
 
 def test_paired_timing_counts_read_only_the_count_columns():

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from uavtrack import gpr
 from uavtrack import tracking as tr
 from uavtrack.beamforming import candidate_set, grid_weights, precoder_from_angle
-from uavtrack.channel import ArrayConfig, LinkBudget, effective_channel, measure_beams
+from uavtrack.channel import (
+    ArrayConfig,
+    BeamSounder,
+    LinkBudget,
+    effective_channel,
+    measure_beams,
+)
 from uavtrack.geometry import Position3, SpatialAngles, arrival_angles
 from uavtrack.gpr import (
     GprModel,
@@ -121,15 +127,27 @@ def test_degenerate_clipped_grid_returns_seed():
     assert r.iterations == 0 and r.measurements == 0
 
 
-def test_measurement_accounting_audited(monkeypatch):
+def _audit(monkeypatch, skip=None):
+    """Run each pilot scheme once and check its reported measurements against
+    the beams counted where they are sounded: tracking.measure_beams for
+    weight stacks, and BeamSounder's point, points and grid for plain beams.
+    skip names one of these four that goes uncounted."""
     rows = {"n": 0}
-    real = tr.measure_beams
 
-    def counting(heff, weights, budget, rng, **kw):
-        rows["n"] += len(np.atleast_2d(weights))
-        return real(heff, weights, budget, rng, **kw)
+    def counted(owner, name, beams):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(tr, "measure_beams", counting)
+        def counting(*args):
+            if name != skip:
+                rows["n"] += beams(*args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(tr, "measure_beams", lambda heff, weights, *_: len(np.atleast_2d(weights)))
+    counted(BeamSounder, "point", lambda *_: 1)
+    counted(BeamSounder, "points", lambda _, u, v: len(u))
+    counted(BeamSounder, "grid", lambda _, u, v: len(u) * len(v))
     h = _chan(0.15, -0.05)
     seed = SpatialAngles(0.1, -0.1)
     budget = LinkBudget(es=1.0, snr_db=20.0)
@@ -145,12 +163,25 @@ def test_measurement_accounting_audited(monkeypatch):
 
     rows["n"] = 0
     r = baseline_perturbation(h, seed, CFG, budget, EST, np.random.default_rng(3))
+    assert r.iterations >= 1
     assert r.measurements == 3 * r.iterations == rows["n"]
 
     rows["n"] = 0
     r = baseline_codebook(h, seed, CFG, budget, EST, np.random.default_rng(4))
     assert r.iterations == 0
     assert r.measurements == 36 == rows["n"]
+
+
+def test_measurement_accounting_audited(monkeypatch):
+    _audit(monkeypatch)
+
+
+@pytest.mark.parametrize("skip", ["measure_beams", "point", "points", "grid"])
+def test_measurement_audit_fails_when_a_sounding_goes_uncounted(monkeypatch, skip):
+    # each way of sounding carries some scheme's beams: the hybrid's sweep and
+    # probes, the perturbation's triples, the quantized stacks
+    with pytest.raises(AssertionError):
+        _audit(monkeypatch, skip=skip)
 
 
 # the iterative schemes share one ascent loop: (scheme, sweep beams, beams per iteration)
@@ -452,9 +483,8 @@ def test_all_estimators_return_feasible_angles(su, sv, noise_seed):
 def test_shared_grid_arrays_are_read_only():
     seed = SpatialAngles(0.1, -0.2)
     grids = {}
-    cands, plain = tr._grid(seed, CFG, EST, grids, "plain")
-    arrays = [cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi, plain]
-    arrays.append(tr._grid(seed, CFG, EST, grids, "quantized")[1])
+    cands, quantized = tr._grid(seed, CFG, EST, grids, beams=True)
+    arrays = [cands.u_values, cands.v_values, cands.points, cands.lo, cands.hi, quantized]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -474,18 +504,15 @@ def test_shared_grids_are_keyed_on_exact_inputs():
         tr._grid(seed, CFG, EstimatorConfig(phase_bits=5), grids)[0],
     ]:
         assert other is not cands
-    plain = tr._grid(seed, CFG, EST, grids, "plain")[1]
-    again = tr._grid(seed, CFG, EST, grids, "plain")
-    assert again[0] is cands and again[1] is plain
-    assert np.array_equal(plain, grid_weights(cands, CFG))
-    quantized = tr._grid(seed, CFG, EST, grids, "quantized")[1]
-    assert tr._grid(seed, CFG, EST, grids, "quantized")[1] is quantized
+    quantized = tr._grid(seed, CFG, EST, grids, beams=True)[1]
+    again = tr._grid(seed, CFG, EST, grids, beams=True)
+    assert again[0] is cands and again[1] is quantized
     assert np.array_equal(quantized, grid_weights(cands, CFG, EST.phase_bits))
 
 
 def test_grids_without_a_table_are_built_afresh():
     seed = SpatialAngles(0.1, -0.2)
-    first, second = (tr._grid(seed, CFG, EST, None, "plain") for _ in range(2))
+    first, second = (tr._grid(seed, CFG, EST, None, beams=True) for _ in range(2))
     assert first[0] is not second[0] and first[1] is not second[1]
     assert np.array_equal(first[0].points, second[0].points)
     assert np.array_equal(first[1], second[1])
@@ -495,11 +522,12 @@ def test_a_scheme_fills_the_table_it_is_given():
     h = _chan(0.12, -0.18)
     seed = SpatialAngles(0.1, -0.2)
     grids = {}
-    # the grid and its plain beams, then the quantized beams as well
-    for fn, beams, entries in [(refine_hybrid, "plain", 2), (refine_analog, "quantized", 3)]:
+    # the grid, then its quantized beams as well
+    for fn, beams, entries in [(refine_hybrid, False, 1), (refine_analog, True, 2)]:
         alone = fn(h, seed, CFG, QUIET, EST, np.random.default_rng(3))
         assert fn(h, seed, CFG, QUIET, EST, np.random.default_rng(3), grids=grids) == alone
         assert len(grids) == entries
         cands, w = tr._grid(seed, CFG, EST, None, beams)
         kept = tr._grid(seed, CFG, EST, grids, beams)
-        assert np.array_equal(kept[0].points, cands.points) and np.array_equal(kept[1], w)
+        assert np.array_equal(kept[0].points, cands.points)
+        assert (kept[1] is w is None) or np.array_equal(kept[1], w)
