@@ -28,7 +28,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .beamforming import build_precoder, steer_weights
 from .blas import one_blas_thread
-from .channel import BeamSounder, effective_channel
+from .channel import effective_channel
 from .config import ANALOG_SCHEMES, SCHEMES, ConfigError, ScenarioConfig
 from .geometry import Position3, SpatialAngles, arrival_angles, departure_angle
 from .metrics import (
@@ -222,7 +222,6 @@ def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[list[Trac
         arrival = arrival_angles(position, gs_pos)
         truth = SpatialAngles(arrival.u, arrival.v, departure_angle(position, gs_pos, heading))
         heff = effective_channel(truth, build_precoder(egi, gs_pos, arr), complex(mus[k]), arr)
-        plain_beams = BeamSounder(heff, arr)  # the plain data beams' gains
         pilot_key = (cfg.run_seed, trial, _PILOT, k)
         grids = {}
         for c, (snr_db, budget, phase_bits, est, scheme, quantize_data) in enumerate(chains):
@@ -236,10 +235,7 @@ def _run_trial(cfg: ScenarioConfig, trial: int, blocks: range) -> list[list[Trac
                 )
                 raise
             estimate = estimates[c] = fuse_position(SpatialAngles(res.u, res.v), gs_pos, delta_h)
-            if quantize_data is None:
-                gain = plain_beams.gain(res.u, res.v)
-            else:
-                gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
+            gain = realized_gain(steer_weights(res.u, res.v, arr, quantize_data), heff)
             rows[c].append(
                 TraceRow(
                     trial=trial,

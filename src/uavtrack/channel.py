@@ -164,48 +164,29 @@ class BeamSounder:
     Optimum Array Processing, 2002, sec. 4.1). The scaled channel and the
     axis phase ramps are formed once per link. Sounding draws the noise
     as measure_beams does, the same normals in the same order from the
-    same generator, so point, points and grid return what measure_beams
-    returns for the same beams up to roundoff and leave the generator
-    where it leaves it. Phase-quantized beams do not factor and go
-    through measure_beams.
-
-    budget and rng are needed only to sound; gain alone needs neither.
+    same generator, so point and grid return what measure_beams returns
+    for the same beams up to roundoff and leave the generator where it
+    leaves it. Phase-quantized beams do not factor and go through
+    measure_beams.
     """
 
-    def __init__(
-        self,
-        heff: np.ndarray,
-        cfg: ArrayConfig,
-        budget: LinkBudget | None = None,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, heff: np.ndarray, cfg: ArrayConfig, budget: LinkBudget, rng: np.random.Generator):
         self._h = heff.reshape(cfg.nx, cfg.ny) / math.sqrt(cfg.n_ground)
         self._ramp_x = (1j * math.pi) * np.arange(cfg.nx)
         self._ramp_y = (1j * math.pi) * np.arange(cfg.ny)
         self._budget, self._rng = budget, rng
-        if budget is not None:
-            self._root_es = math.sqrt(budget.es)
-            self._noise_sd = math.sqrt(budget.sigma_n2 / 2.0)
+        self._root_es = math.sqrt(budget.es)
+        self._noise_sd = math.sqrt(budget.sigma_n2 / 2.0)
 
     def _response(self, u: float, v: float) -> complex:
+        """Noiseless w^H h of the beam at (u, v)."""
         return complex(np.exp(self._ramp_x * u) @ (self._h @ np.exp(self._ramp_y * v)))
-
-    def gain(self, u: float, v: float) -> float:
-        """Noiseless |w^H h| of the beam at (u, v), as metrics.realized_gain."""
-        return abs(self._response(u, v))
 
     def point(self, u: float, v: float) -> float:
         """One pilot magnitude at (u, v), on Python scalars."""
         signal = self._response(u, v) * self._root_es
         z0, z1 = self._rng.standard_normal(2).tolist()
         return abs(signal + complex(self._noise_sd * z0, self._noise_sd * z1))
-
-    def points(self, u, v) -> np.ndarray:
-        """Pilot magnitudes at the paired cosines (u[i], v[i]), in order."""
-        ax = np.exp(np.multiply.outer(u, self._ramp_x))
-        ay = np.exp(np.multiply.outer(v, self._ramp_y))
-        signal = ((ax @ self._h) * ay).sum(axis=1)
-        return _with_noise(signal * self._root_es, self._budget, self._rng)
 
     def grid(self, u_values, v_values) -> np.ndarray:
         """Pilot magnitudes over the grid u_values x v_values, flat index

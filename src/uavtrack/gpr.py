@@ -317,7 +317,7 @@ def _ascent_step(g: np.ndarray, fisher: np.ndarray, hess: np.ndarray) -> list[fl
     """
     ridge = RIDGE * float(fisher.diagonal().max())
     for metric in (-hess, fisher.copy()):
-        metric.ravel()[:: len(g) + 1] += ridge  # the off-diagonals would gain exactly 0.0
+        metric.flat[:: len(g) + 1] += ridge  # the off-diagonals would gain exactly 0.0
         factor, info = dpotrf(metric, lower=1, overwrite_a=1)
         if info == 0:
             return _cho_solve(factor, g).tolist()

@@ -303,8 +303,8 @@ def baseline_perturbation(
     sounder = BeamSounder(heff, cfg, budget, rng)
 
     def probe(u, v):
-        y3 = normalized_gain(sounder.points((u, u + delta_p, u), (v, v, v + delta_p)), cfg)
-        p0, pu, pv = (y3**2).tolist()
+        beams = ((u, v), (u + delta_p, v), (u, v + delta_p))
+        p0, pu, pv = (normalized_gain(sounder.point(a, b), cfg) ** 2 for a, b in beams)
         return p0, ((pu - p0) / delta_p, (pv - p0) / delta_p)
 
     u, v, iterations = _ascend((seed.u, seed.v), cands, est, budget, probe)

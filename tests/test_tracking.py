@@ -130,8 +130,8 @@ def test_degenerate_clipped_grid_returns_seed():
 def _audit(monkeypatch, skip=None):
     """Run each pilot scheme once and check its reported measurements against
     the beams counted where they are sounded: tracking.measure_beams for
-    weight stacks, and BeamSounder's point, points and grid for plain beams.
-    skip names one of these four that goes uncounted."""
+    weight stacks, and BeamSounder's point and grid for plain beams. skip
+    names one of these three that goes uncounted."""
     rows = {"n": 0}
 
     def counted(owner, name, beams):
@@ -146,7 +146,6 @@ def _audit(monkeypatch, skip=None):
 
     counted(tr, "measure_beams", lambda heff, weights, *_: len(np.atleast_2d(weights)))
     counted(BeamSounder, "point", lambda *_: 1)
-    counted(BeamSounder, "points", lambda _, u, v: len(u))
     counted(BeamSounder, "grid", lambda _, u, v: len(u) * len(v))
     h = _chan(0.15, -0.05)
     seed = SpatialAngles(0.1, -0.1)
@@ -176,7 +175,7 @@ def test_measurement_accounting_audited(monkeypatch):
     _audit(monkeypatch)
 
 
-@pytest.mark.parametrize("skip", ["measure_beams", "point", "points", "grid"])
+@pytest.mark.parametrize("skip", ["measure_beams", "point", "grid"])
 def test_measurement_audit_fails_when_a_sounding_goes_uncounted(monkeypatch, skip):
     # each way of sounding carries some scheme's beams: the hybrid's sweep and
     # probes, the perturbation's triples, the quantized stacks
