@@ -94,10 +94,6 @@ class CandidateSet:
     def size(self) -> int:
         return len(self.points)
 
-    def clip(self, point: np.ndarray) -> np.ndarray:
-        """Project a point onto the grid bounding box."""
-        return np.minimum(np.maximum(point, self.lo), self.hi)
-
 
 def candidate_set(seed_u: float, seed_v: float, cfg: ArrayConfig, phase_bits: int = 6) -> CandidateSet:
     """Grid [seed - B : delta : seed + B] per axis, B = 2 / nx, delta = 2 pi / 2^l.

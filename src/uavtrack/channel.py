@@ -46,27 +46,25 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Pilot energy and noise level, tied through SNR = es / sigma_n^2."""
+    """Noise level of unit-energy pilots, set by SNR = 1 / sigma_n^2."""
 
-    es: float = 1.0
     snr_db: float = 20.0
 
     def __post_init__(self):
-        if self.es <= 0.0:
-            raise ValueError(f"es (pilot energy) must be positive, got {self.es}")
         try:
             sigma_n2 = self.sigma_n2
         except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) out of range
             sigma_n2 = 0.0
         if not 0.0 < sigma_n2 < math.inf:
             raise ValueError(
-                f"snr_db = {self.snr_db} puts the noise variance es / 10^(snr_db / 10) "
+                f"snr_db = {self.snr_db} puts the noise variance 1 / 10^(snr_db / 10) "
                 "out of floating-point range"
             )
 
     @property
     def sigma_n2(self) -> float:
-        return self.es / 10.0 ** (self.snr_db / 10.0)
+        # not 10 ** (-snr_db / 10): at 25 and -3 dB it differs in the last bit
+        return 1.0 / 10.0 ** (self.snr_db / 10.0)
 
 
 def steering_ula(u, n: int) -> np.ndarray:
@@ -139,7 +137,7 @@ def measure_beams(
     np.ndarray, shape (n_beams,)
     """
     w = np.atleast_2d(weights)
-    return _with_noise(w.conj() @ heff * math.sqrt(budget.es), budget, rng)
+    return _with_noise(w.conj() @ heff, budget, rng)
 
 
 def _with_noise(signal: np.ndarray, budget: LinkBudget, rng: np.random.Generator) -> np.ndarray:
@@ -175,7 +173,6 @@ class BeamSounder:
         self._ramp_x = (1j * math.pi) * np.arange(cfg.nx)
         self._ramp_y = (1j * math.pi) * np.arange(cfg.ny)
         self._budget, self._rng = budget, rng
-        self._root_es = math.sqrt(budget.es)
         self._noise_sd = math.sqrt(budget.sigma_n2 / 2.0)
 
     def _response(self, u: float, v: float) -> complex:
@@ -184,7 +181,7 @@ class BeamSounder:
 
     def point(self, u: float, v: float) -> float:
         """One pilot magnitude at (u, v), on Python scalars."""
-        signal = self._response(u, v) * self._root_es
+        signal = self._response(u, v)
         z0, z1 = self._rng.standard_normal(2).tolist()
         return abs(signal + complex(self._noise_sd * z0, self._noise_sd * z1))
 
@@ -194,4 +191,4 @@ class BeamSounder:
         ax = np.exp(np.multiply.outer(u_values, self._ramp_x))
         ay = np.exp(np.multiply.outer(v_values, self._ramp_y))
         signal = (ax @ self._h @ ay.T).ravel()
-        return _with_noise(signal * self._root_es, self._budget, self._rng)
+        return _with_noise(signal, self._budget, self._rng)

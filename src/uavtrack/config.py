@@ -46,7 +46,6 @@ class ScenarioConfig:
     array_ny: int = 8
     array_nu: int = 8
     # link
-    link_es: float = 1.0
     link_snr_db: tuple[float, ...] = (20.0,)
     # schedule
     schedule_t_block: float = 0.010
@@ -126,7 +125,7 @@ class ScenarioConfig:
         return ArrayConfig(nx=self.array_nx, ny=self.array_ny, nu=self.array_nu)
 
     def budget(self, snr_db: float) -> LinkBudget:
-        return LinkBudget(es=self.link_es, snr_db=snr_db)
+        return LinkBudget(snr_db=snr_db)
 
     def schedule(self) -> Schedule:
         return Schedule(

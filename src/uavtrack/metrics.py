@@ -61,12 +61,12 @@ def normalized_gain(gain, cfg: ArrayConfig):
 
 
 def spectral_efficiency(gain: float, budget: LinkBudget) -> float:
-    """log2(1 + es * gain^2 / sigma_n^2), bits/s/Hz.
+    """log2(1 + gain^2 / sigma_n^2), bits/s/Hz, for unit-energy pilots.
 
     Noise is not scaled by the beam's norm: every beam the package builds,
     ground or UAV, is unit-norm.
     """
-    return math.log2(1.0 + budget.es * gain * gain / budget.sigma_n2)
+    return math.log2(1.0 + gain * gain / budget.sigma_n2)
 
 
 def main_lobe_limit(cfg: ArrayConfig) -> float:

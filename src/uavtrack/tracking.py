@@ -6,9 +6,10 @@ baseline's, are sounded from the planar array's two axis responses
 (channel.BeamSounder); the phase-quantized beams of the analog and
 codebook schemes do not factor and are sounded as a weight stack through
 measure_beams. Measured magnitudes are rescaled by the known
-coherent array factor sqrt(nu * nx * ny) before entering any estimator,
-so surfaces peak near sqrt(es) regardless of array size and the step and
-stop constants keep their meaning across configurations.
+coherent array factor sqrt(nu * nx * ny) before entering any estimator.
+Pilots have unit energy, so surfaces peak near 1 regardless of array size
+and SNR, and the step and stop constants keep their meaning across
+configurations.
 
 The surrogate-model schemes ascend the predictive mean of a Gaussian
 process fitted to the measurements. The hybrid scheme may measure
@@ -55,8 +56,8 @@ REFIT_MAX_ITER = 6
 class EstimatorConfig:
     """Knobs shared by the refinement schemes.
 
-    epsilon_scale multiplies sqrt(es) to form the stop threshold on
-    consecutive magnitudes (or powers for the perturbation baseline).
+    epsilon_scale is the stop threshold on consecutive normalized
+    magnitudes (or powers for the perturbation baseline).
     """
 
     eta: float = 0.01
@@ -176,17 +177,16 @@ def _initial_surface(cands: CandidateSet, y: np.ndarray):
     return fit_hyperparams(cands.points, y, model, FIT_MAX_ITER).model, _loudest(cands, y)
 
 
-def _ascend(x0, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, probe):
+def _ascend(x0, cands: CandidateSet, est: EstimatorConfig, probe):
     """Ascent shared by the iterative schemes, on Python floats.
 
     Each iteration calls probe(u, v) -> (value, (du, dv)) at the iterate
     and steps to (u, v) + eta * (du, dv), clipped to the candidate box,
     then into the unit disk (which near the horizon can leave the box).
-    Stops when consecutive values differ by less than epsilon_scale *
-    sqrt(es), or at the iteration cap. Returns the final iterate's u and
-    v and the iteration count.
+    Stops when consecutive values differ by less than epsilon_scale, or
+    at the iteration cap. Returns the final iterate's u and v and the
+    iteration count.
     """
-    eps = est.epsilon_scale * math.sqrt(budget.es)
     (lo_u, lo_v), (hi_u, hi_v) = cands.lo.tolist(), cands.hi.tolist()
     (u, v), t, f_prev = x0, 0, None
     for t in range(1, est.max_iterations + 1):
@@ -194,7 +194,7 @@ def _ascend(x0, cands: CandidateSet, est: EstimatorConfig, budget: LinkBudget, p
         u, v = _into_unit_disk(
             min(max(u + est.eta * du, lo_u), hi_u), min(max(v + est.eta * dv, lo_v), hi_v)
         )
-        if f_prev is not None and abs(f - f_prev) < eps:
+        if f_prev is not None and abs(f - f_prev) < est.epsilon_scale:
             break
         f_prev = f
     return u, v, t
@@ -239,7 +239,7 @@ def refine_hybrid(
             model = fit_hyperparams(model.x, model.y, model, REFIT_MAX_ITER).model
         return y, posterior_mean_gradient(model, x).tolist()
 
-    u, v, iterations = _ascend(x0, cands, est, budget, probe)
+    u, v, iterations = _ascend(x0, cands, est, probe)
     return _result(u, v, iterations, cands.size + iterations)
 
 
@@ -269,7 +269,7 @@ def refine_analog(
         x = np.array((u, v))
         return float(posterior(model, x)[0][0]), posterior_mean_gradient(model, x).tolist()
 
-    u, v, iterations = _ascend(x0, cands, est, budget, probe)
+    u, v, iterations = _ascend(x0, cands, est, probe)
     return _result(u, v, iterations, cands.size)
 
 
@@ -307,7 +307,7 @@ def baseline_perturbation(
         p0, pu, pv = (normalized_gain(sounder.point(a, b), cfg) ** 2 for a, b in beams)
         return p0, ((pu - p0) / delta_p, (pv - p0) / delta_p)
 
-    u, v, iterations = _ascend((seed.u, seed.v), cands, est, budget, probe)
+    u, v, iterations = _ascend((seed.u, seed.v), cands, est, probe)
     return _result(u, v, iterations, 3 * iterations)
 
 

@@ -25,7 +25,7 @@ from uavtrack.tracking import EstimatorConfig, baseline_codebook
 
 CFG = ArrayConfig()
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
-QUIET = LinkBudget(es=1.0, snr_db=300.0)
+QUIET = LinkBudget(snr_db=300.0)
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, cap: float | None):

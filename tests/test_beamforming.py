@@ -118,15 +118,6 @@ def test_candidate_points_row_major():
             assert pts[i * g_axis + j, 1] == c.v_values[j]
 
 
-def test_candidate_clip_projects_to_box():
-    c = candidate_set(0.1, -0.2, CFG, 6)
-    p = c.clip(np.array([5.0, -5.0]))
-    assert p[0] == 0.1 + 0.25
-    assert p[1] == -0.2 - 0.25
-    inside = np.array([0.12, -0.18])
-    assert np.array_equal(c.clip(inside), inside)
-
-
 def test_steer_weights_center():
     w = steer_weights(0.0, 0.0, CFG)
     assert abs(np.linalg.norm(w) - 1.0) < 1e-12

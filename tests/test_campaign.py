@@ -33,7 +33,9 @@ from uavtrack.campaign import (
     write_trace_csv,
 )
 from uavtrack.channel import ArrayConfig
-from uavtrack.config import MAX_GRID_POINTS, SCHEMES, ConfigError, ScenarioConfig
+from uavtrack.config import (
+    FIELD_TYPES, MAX_GRID_POINTS, SCHEMES, ConfigError, ScenarioConfig, parse_value,
+)
 from uavtrack.metrics import main_lobe_limit, spectral_efficiency
 from uavtrack.sensors import derive_velocity, ground_gps_measure
 
@@ -1005,3 +1007,52 @@ def test_largest_admitted_grid_runs_clean():
     assert len(rows) == len(cfg.link_snr_db) * len(SCHEMES)
     for r in rows:
         assert r.measurements == _checked_measurements(r, cfg, size), r
+
+
+# one alternate value per config key, as written in a config file, against
+# the base campaign of test_every_config_key_reaches_the_trace
+ALTERNATES = {
+    "array.nx": "6",
+    "array.ny": "6",
+    "array.nu": "4",
+    "link.snr_db": "20",
+    "schedule.t_block": "0.005",
+    "schedule.t_gps": "0.03",
+    "schedule.t_ins": "0.03",
+    "sensors.sigma_gps_m": "4.0",
+    "sensors.sigma_ins_m": "1.0",
+    "sensors.sigma_heading_deg": "1.0",
+    "mobility.rho": "0.9",
+    "mobility.speed_min_kmh": "60",
+    "mobility.speed_max_kmh": "120",
+    "mobility.sigma_speed": "10",
+    "mobility.sigma_heading": "1.0",
+    "scenario.gs_height": "50",
+    "scenario.uav_height": "150",
+    "scenario.init_min": "20",
+    "scenario.init_max": "80",
+    "estimator.eta": "0.02",
+    "estimator.epsilon_scale": "0.01",
+    "estimator.max_iterations": "5",
+    "estimator.refit_every": "2",
+    "estimator.phase_bits": "5",
+    "run.trials": "2",
+    "run.blocks": "5",
+    "run.seed": "1",
+    "run.schemes": "hybrid_gpr, analog_gpr, gps_only, perturbation",
+}
+
+
+def test_every_config_key_reaches_the_trace(monkeypatch):
+    # a key whose value no trace row depends on is dead; a new key needs a
+    # case here. Swapping the one value must change the rows of a small
+    # campaign that runs every scheme.
+    attrs = {key.replace(".", "_", 1): key for key in ALTERNATES}
+    assert set(attrs) == set(FIELD_TYPES)
+    _force_workers(monkeypatch, 1)
+    base = ScenarioConfig(run_trials=1, run_blocks=6, run_schemes=SCHEMES, link_snr_db=(10.0,))
+    rows = run_campaign(base).rows
+    for attr, key in attrs.items():
+        swapped = base.override(**{attr: parse_value(ALTERNATES[key], FIELD_TYPES[attr])})
+        assert getattr(swapped, attr) != getattr(base, attr), key
+        assert run_campaign(swapped).rows != rows, key

@@ -32,16 +32,14 @@ def test_array_config_validation():
 
 
 def test_link_budget_noise_variance():
-    b = LinkBudget(es=2.0, snr_db=20.0)
-    assert abs(b.sigma_n2 - 2.0e-2) < 1e-15
-    with pytest.raises(ValueError):
-        LinkBudget(es=0.0)
+    b = LinkBudget(snr_db=20.0)
+    assert abs(b.sigma_n2 - 1.0e-2) < 1e-15
 
 
-@pytest.mark.parametrize("es, snr_db", [(1.0, 4000.0), (1.0, -4000.0), (1e300, -100.0)])
-def test_link_budget_rejects_noise_variance_out_of_range(es, snr_db):
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_link_budget_rejects_noise_variance_out_of_range(snr_db):
     with pytest.raises(ValueError, match=f"snr_db = {snr_db} puts the noise variance"):
-        LinkBudget(es=es, snr_db=snr_db)
+        LinkBudget(snr_db=snr_db)
 
 
 def test_steering_upa_broadside_is_ones():
@@ -111,14 +109,14 @@ def test_effective_vector_structure():
 def test_measure_noiseless_coherent_limit():
     h = _aligned_channel()
     w = steering_upa(0.1, -0.2, 8, 8) / 8.0
-    y = measure_beams(h, w[None, :], LinkBudget(es=1.0, snr_db=200.0), np.random.default_rng(0))
+    y = measure_beams(h, w[None, :], LinkBudget(snr_db=200.0), np.random.default_rng(0))
     assert abs(y[0] - math.sqrt(512.0)) < 1e-6
 
 
 def test_measure_at_null_is_noise_only():
     h = _aligned_channel()
     w = steering_upa(0.1 + 0.25, -0.2, 8, 8) / 8.0
-    y = measure_beams(h, w[None, :], LinkBudget(es=1.0, snr_db=200.0), np.random.default_rng(0))
+    y = measure_beams(h, w[None, :], LinkBudget(snr_db=200.0), np.random.default_rng(0))
     assert y[0] < 1e-6
 
 
@@ -137,7 +135,7 @@ def test_rician_mean_against_direct_oracle():
     # CN(0, sigma_n^2); compare the sampler against a direct 1e6-draw oracle
     h = _aligned_channel()
     w = steering_upa(0.1, -0.2, 8, 8) / 8.0
-    budget = LinkBudget(es=1.0, snr_db=20.0)
+    budget = LinkBudget(snr_db=20.0)
     rng = np.random.default_rng(2)
     n = 20_000
     ys = measure_beams(h, np.tile(w, (n, 1)), budget, rng)
@@ -178,11 +176,11 @@ def test_measure_beams_bitwise_equals_unit_norm_formula():
     grid = grid_weights(candidate_set(0.1, -0.2, CFG, 6), CFG, 6)
     for weights in (grid[7], grid, steer_weights(0.05, -0.15, CFG)):
         w = np.atleast_2d(weights)
-        for budget in (LinkBudget(es=2.5, snr_db=-3.0), LinkBudget(es=0.3, snr_db=17.3)):
+        for budget in (LinkBudget(snr_db=-3.0), LinkBudget(snr_db=17.3)):
             got = measure_beams(h, weights, budget, np.random.default_rng(5))
             z = np.random.default_rng(5).standard_normal((len(w), 2))
             noise = np.sqrt(budget.sigma_n2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
-            want = np.abs(w.conj() @ h * np.sqrt(budget.es) + noise)
+            want = np.abs(w.conj() @ h + noise)
             assert np.array_equal(got, want)
 
 
@@ -195,11 +193,10 @@ _COSINE = st.floats(-1.0, 1.0)
     seed=st.integers(0, 2**32 - 1),
     rank_one=st.booleans(),
     snr_db=st.floats(0.0, 30.0),
-    es=st.floats(0.1, 10.0),
     u=st.lists(_COSINE, min_size=1, max_size=5),
     v=st.lists(_COSINE, min_size=1, max_size=5),
 )
-def test_sounder_is_measure_beams_on_steered_beams(cfg, seed, rank_one, snr_db, es, u, v):
+def test_sounder_is_measure_beams_on_steered_beams(cfg, seed, rank_one, snr_db, u, v):
     # one point and a grid of random cosines, against the steered weight
     # stack measure_beams sounds; the generators must agree on their next
     # draw afterwards, so the sounder takes the same normals. The noiseless
@@ -211,10 +208,10 @@ def test_sounder_is_measure_beams_on_steered_beams(cfg, seed, rank_one, snr_db, 
         heff = effective_channel(angles, precoder_from_angle(ua + 0.1, cfg.nu), np.exp(2j), cfg)
     else:
         heff = g.standard_normal(cfg.n_ground) + 1j * g.standard_normal(cfg.n_ground)
-    budget = LinkBudget(es=es, snr_db=snr_db)
+    budget = LinkBudget(snr_db=snr_db)
     u, v = np.array(u), np.array(v)
-    # roundoff of either sum scales with ||h|| sqrt(es), not with a magnitude near a null
-    floor = 1e-12 * np.linalg.norm(heff) * math.sqrt(es)
+    # roundoff of either sum scales with ||h||, not with a magnitude near a null
+    floor = 1e-12 * np.linalg.norm(heff)
     cases = [
         (lambda s: s.point(u[0], v[0]), steer_weights(u[0], v[0], cfg)),
         (lambda s: s.grid(u, v), steer_weights(u[:, None], v[None, :], cfg).reshape(-1, cfg.n_ground)),
@@ -229,5 +226,5 @@ def test_sounder_is_measure_beams_on_steered_beams(cfg, seed, rank_one, snr_db, 
     sounder = BeamSounder(heff, cfg, budget, np.random.default_rng(seed))
     for a, b in zip(u, v):
         want = realized_gain(steer_weights(a, b, cfg), heff)
-        assert math.isclose(abs(sounder._response(a, b)), want, rel_tol=1e-12, abs_tol=floor / math.sqrt(es))
+        assert math.isclose(abs(sounder._response(a, b)), want, rel_tol=1e-12, abs_tol=floor)
 

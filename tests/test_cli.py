@@ -151,10 +151,19 @@ def test_non_finite_flag_exit_2(tmp_path, capsys):
 
 
 def test_out_of_range_config_value_exit_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, SMALL + "link.es = -1\n")
+    cfg = _write_config(tmp_path, SMALL + "link.snr_db = 4000\n")
     out = tmp_path / "runs"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert "link: es (pilot energy) must be positive" in capsys.readouterr().err
+    assert "link: snr_db = 4000.0 puts the noise variance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retired_key_exit_2(tmp_path, capsys):
+    # pilots have unit energy; a config that still sets it is rejected at load
+    cfg = _write_config(tmp_path, SMALL + "link.es = 1\n")
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{cfg}:5: unknown key 'link.es'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -78,8 +78,11 @@ def test_unit_conversions():
 
 
 def test_budget_noise_from_snr():
-    cfg = ScenarioConfig(link_es=2.0)
-    assert abs(cfg.budget(20.0).sigma_n2 - 2e-2) < 1e-15
+    # bitwise: the equal 10 ** (-s / 10) differs in the last bit at both values
+    cfg = ScenarioConfig()
+    for s in (25.0, -3.0):
+        assert cfg.budget(s).sigma_n2 == 1.0 / 10.0 ** (s / 10.0)
+        assert cfg.budget(s).sigma_n2 != 10.0 ** (-s / 10.0)
 
 
 def test_estimator_view_carries_phase_bits():
@@ -138,8 +141,6 @@ BAD_VALUES = [
     ("estimator.eta", "nan", "estimator.eta must be finite"),
     ("link.snr_db", "nan", "link.snr_db must be finite"),
     ("link.snr_db", "10, -inf", "link.snr_db must be finite"),
-    ("link.es", "nan", "link.es must be finite"),
-    ("link.es", "-1", r"link: es \(pilot energy\) must be positive"),
     ("link.snr_db", "4000", r"link: snr_db = 4000.0 puts the noise variance"),
     ("link.snr_db", "-4000", r"link: snr_db = -4000.0 puts the noise variance"),
     ("link.snr_db", "10, 4000", r"link: snr_db = 4000.0 puts the noise variance"),
@@ -224,7 +225,7 @@ def test_campaign_config_files_pin_their_campaigns():
 
 @pytest.mark.parametrize(
     "line", ["estimator.fit_noise = false", "estimator.perturbation_delta = 0.03",
-             "mobility.noise_mode = literal"],
+             "mobility.noise_mode = literal", "link.es = 1.0"],
 )
 def test_retired_keys_are_unknown(line):
     key = line.split(" =")[0]

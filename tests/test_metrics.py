@@ -63,24 +63,17 @@ def test_normalized_gain_in_unit_interval():
 
 
 def test_spectral_efficiency_values():
-    budget = LinkBudget(es=1.0, snr_db=0.0)
+    budget = LinkBudget(snr_db=0.0)
     assert spectral_efficiency(0.0, budget) == 0.0
     # gain sqrt(512) at unit SNR: log2(1 + 512)
     assert abs(spectral_efficiency(math.sqrt(512.0), budget) - 9.002815015607053) < 1e-12
 
 
 def test_spectral_efficiency_monotone_in_gain():
-    budget = LinkBudget(es=1.0, snr_db=10.0)
+    budget = LinkBudget(snr_db=10.0)
     gains = np.linspace(0.0, 22.0, 50)
     ses = [spectral_efficiency(g, budget) for g in gains]
     assert np.all(np.diff(ses) > 0.0)
-
-
-def test_spectral_efficiency_depends_only_on_snr():
-    # scaling es and sigma_n^2 together leaves SE unchanged
-    a = LinkBudget(es=1.0, snr_db=17.0)
-    b = LinkBudget(es=123.0, snr_db=17.0)
-    assert abs(spectral_efficiency(3.0, a) - spectral_efficiency(3.0, b)) < 1e-12
 
 
 def test_predicted_gain_from_mae():
@@ -121,7 +114,7 @@ def test_predicted_matches_realized_at_equal_offsets():
 def test_predicted_se_at_mae():
     # the summary's pred_se_at_mae: log2(1 + es g^2 / sigma_n^2) at the
     # closed-form gain for equal per-axis offsets set to the MAE
-    budget = LinkBudget(es=1.0, snr_db=20.0)
+    budget = LinkBudget(snr_db=20.0)
     gain = predicted_gain_from_mae(0.05, CFG)
     want = math.log2(1.0 + beam_gain(0.05, 0.05, CFG) ** 2 / 0.01)
     assert abs(spectral_efficiency(gain, budget) - want) < 1e-12

@@ -36,7 +36,7 @@ from uavtrack.tracking import (
 )
 
 CFG = ArrayConfig()
-QUIET = LinkBudget(es=1.0, snr_db=300.0)
+QUIET = LinkBudget(snr_db=300.0)
 EST = EstimatorConfig()
 NORM = math.sqrt(CFG.nu * CFG.nx * CFG.ny)
 
@@ -149,7 +149,7 @@ def _audit(monkeypatch, skip=None):
     counted(BeamSounder, "grid", lambda _, u, v: len(u) * len(v))
     h = _chan(0.15, -0.05)
     seed = SpatialAngles(0.1, -0.1)
-    budget = LinkBudget(es=1.0, snr_db=20.0)
+    budget = LinkBudget(snr_db=20.0)
 
     r = refine_hybrid(h, seed, CFG, budget, EST, np.random.default_rng(1))
     assert r.iterations >= 1
@@ -192,7 +192,7 @@ ASCENT = pytest.mark.parametrize(
 
 
 def _ascent_run(fn, **est):
-    budget = LinkBudget(es=1.0, snr_db=20.0)
+    budget = LinkBudget(snr_db=20.0)
     seed = SpatialAngles(0.1, -0.1)
     est = EstimatorConfig(**est)
     return fn(_chan(0.15, -0.05), seed, CFG, budget, est, np.random.default_rng(9))
@@ -224,7 +224,7 @@ def test_ascent_without_iterations_returns_start(fn, grid, per_iteration):
         c = candidate_set(0.1, -0.1, CFG, 6)
         bits = 6 if fn is refine_analog else None
         y = measure_beams(
-            _chan(0.15, -0.05), grid_weights(c, CFG, bits), LinkBudget(es=1.0, snr_db=20.0),
+            _chan(0.15, -0.05), grid_weights(c, CFG, bits), LinkBudget(snr_db=20.0),
             np.random.default_rng(9),
         )
         start = tuple(c.points[int(np.argmax(y))])
@@ -325,7 +325,7 @@ def test_analog_measurement_count_independent_of_iterations():
 def test_analog_iteration_count_stable_across_snr():
     means = []
     for snr in (0.0, 30.0):
-        budget = LinkBudget(es=1.0, snr_db=snr)
+        budget = LinkBudget(snr_db=snr)
         counts = []
         for trial in range(100):
             g = np.random.default_rng(3000 + trial)
@@ -356,7 +356,7 @@ def test_analog_iterate_sequence_monotone_on_noiseless_surface():
         for _ in range(50):
             f = float(posterior(model, x)[0][0])
             path.append(f)
-            x = c.clip(x + 0.005 * posterior_mean_gradient(model, x))
+            x = np.clip(x + 0.005 * posterior_mean_gradient(model, x), c.lo, c.hi)
             if f_prev is not None and abs(f - f_prev) < 1e-3:
                 break
             f_prev = f
@@ -432,7 +432,7 @@ def test_codebook_selection_disperses_under_heavy_noise():
     modal = {}
     distinct = {}
     for snr in (-10.0, -30.0):
-        budget = LinkBudget(es=1.0, snr_db=snr)
+        budget = LinkBudget(snr_db=snr)
         rng = np.random.default_rng(7)
         picks = [
             (r.u, r.v)
@@ -451,7 +451,7 @@ def test_codebook_selection_disperses_under_heavy_noise():
 
 
 def test_near_horizon_results_stay_in_unit_disk():
-    budget = LinkBudget(es=1.0, snr_db=10.0)
+    budget = LinkBudget(snr_db=10.0)
     seed = SpatialAngles(0.97, 0.12)
     h = _chan(0.98, 0.05)
     for trial in range(10):
@@ -471,7 +471,7 @@ def test_all_estimators_return_feasible_angles(su, sv, noise_seed):
     if su * su + sv * sv > 0.95:
         return
     est = EstimatorConfig(max_iterations=6, refit_every=3)
-    budget = LinkBudget(es=1.0, snr_db=0.0)
+    budget = LinkBudget(snr_db=0.0)
     h = _chan(su + 0.05, sv - 0.05)
     seed = SpatialAngles(su, sv)
     for fn in (refine_hybrid, refine_analog, baseline_perturbation, baseline_codebook):
