@@ -4,9 +4,9 @@
     python3 scripts/reference_runs.py OUT_DIR
 
 Each campaign loads its file from configs/, sets its trial count, and
-writes trace.csv and summary.csv under OUT_DIR/<campaign>/ and beside them
-every figure table (fig5.csv .. fig9.csv) the summary supports, through
-scripts/figures.py's write_campaign:
+runs through uavtrack.cli.simulate, as `uavtrack simulate` does: it writes
+trace.csv and summary.csv under OUT_DIR/<campaign>/ and beside them every
+figure table (fig5.csv .. fig9.csv) the campaign supports:
 
   golden             configs/golden.conf, the golden-trace test's campaign,
                      at the file's own trial count
@@ -35,17 +35,15 @@ import argparse
 import hashlib
 import operator
 import os
-import sys
 from dataclasses import fields
 
 import numpy as np
 
 from uavtrack.campaign import TraceRow
+from uavtrack.cli import simulate
 from uavtrack.config import ScenarioConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "scripts"))  # also when this file is loaded by its path
-from figures import load_config, write_campaign  # noqa: E402
 
 # campaign: (config file in configs/, trials or None for the file's), in run order
 _CAMPAIGNS = {
@@ -60,10 +58,11 @@ _CAMPAIGNS = {
 
 def campaigns() -> dict[str, ScenarioConfig]:
     """Campaign name to config, in run order."""
-    return {
-        name: load_config(os.path.join(ROOT, "configs", conf), trials)
-        for name, (conf, trials) in _CAMPAIGNS.items()
-    }
+    out = {}
+    for name, (conf, trials) in _CAMPAIGNS.items():
+        cfg = ScenarioConfig.from_file(os.path.join(ROOT, "configs", conf))
+        out[name] = cfg if trials is None else cfg.override(run_trials=trials)
+    return out
 
 
 def _sha256(path: str) -> str:
@@ -83,7 +82,7 @@ def main():
     parser.add_argument("out_dir", help="directory for the campaigns' CSVs")
     out_dir = parser.parse_args().out_dir
     for name, cfg in campaigns().items():
-        result, (trace, summary, *tables) = write_campaign(cfg, os.path.join(out_dir, name))
+        result, (trace, summary, *tables) = simulate(cfg, os.path.join(out_dir, name))
         for path in (trace, summary):
             print(f"{_sha256(path)}  {os.path.relpath(path, out_dir)}", flush=True)
         print(f"{float_digest(result.rows)}  {name}/rows.float64", flush=True)

@@ -24,6 +24,7 @@ __all__ = [
     "build_precoder",
     "steer_weights",
     "quantize_phases",
+    "axis_points",
     "candidate_set",
     "grid_weights",
 ]
@@ -95,15 +96,25 @@ class CandidateSet:
         return len(self.points)
 
 
+def axis_points(cfg: ArrayConfig, phase_bits: int) -> float:
+    """Points per axis of candidate_set's grid: floor(2 B / delta) + 1, with
+    B = 2 / nx and delta = 2 pi / 2^l. Nothing is allocated, and a count
+    past the float range is inf rather than an OverflowError."""
+    try:
+        return int(math.floor(2.0 * (2.0 / cfg.nx) / (2.0 * math.pi / 2.0**phase_bits))) + 1
+    except OverflowError:
+        return math.inf
+
+
 def candidate_set(seed_u: float, seed_v: float, cfg: ArrayConfig, phase_bits: int = 6) -> CandidateSet:
     """Grid [seed - B : delta : seed + B] per axis, B = 2 / nx, delta = 2 pi / 2^l.
 
-    The number of points per axis is floor(2 B / delta) + 1, anchored at
-    the lower edge, so the seed itself need not be a grid point.
+    Each axis holds axis_points(cfg, phase_bits) values anchored at the
+    lower edge, so the seed itself need not be a grid point.
     """
     delta = 2.0 * math.pi / 2.0**phase_bits
     b = 2.0 / cfg.nx
-    g_axis = int(math.floor(2.0 * b / delta)) + 1
+    g_axis = axis_points(cfg, phase_bits)
     offsets = -b + delta * np.arange(g_axis)
     u_values = np.clip(seed_u + offsets, -1.0, 1.0)
     v_values = np.clip(seed_v + offsets, -1.0, 1.0)

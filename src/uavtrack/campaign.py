@@ -11,7 +11,6 @@ identical files.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import operator
 import os
@@ -61,7 +60,6 @@ __all__ = [
     "run_campaign",
     "write_trace_csv",
     "write_summary_csv",
-    "read_summary_csv",
     "write_csv",
     "FIGURES",
     "emit_figure_tables",
@@ -544,32 +542,6 @@ def _summary_line(row: dict) -> str:
 
 def write_summary_csv(path: str, summary_rows: list[dict]) -> None:
     _write_lines(path, SUMMARY_HEADER, map(_summary_line, summary_rows))
-
-
-def read_summary_csv(path: str) -> list[dict]:
-    """Summary rows typed by column: counts as ints, scheme one of config.SCHEMES,
-    every other column a float (a blank, no prediction, as NaN). A cell that
-    does not parse is a ConfigError naming its line and column."""
-    with open(path, "r", newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(SUMMARY_HEADER) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"summary file lacks columns: {sorted(missing)}")
-        out = []
-        for row in reader:
-            for col in SUMMARY_HEADER:
-                text = row[col]
-                try:
-                    if col in _SUMMARY_INT_COLUMNS:
-                        row[col] = int(text)
-                    elif col != "scheme":
-                        row[col] = float(text) if text != "" else float("nan")
-                    elif text not in SCHEMES:
-                        raise ValueError(text)
-                except (TypeError, ValueError) as e:
-                    raise ConfigError(f"{path}:{reader.line_num}: bad {col} value {text!r}") from e
-            out.append(row)
-        return out
 
 
 # figure tables ---------------------------------------------------------------

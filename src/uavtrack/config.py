@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
-from .beamforming import candidate_set
+from .beamforming import axis_points
 from .channel import ArrayConfig, LinkBudget
 from .mobility import MobilityConfig
 from .sensors import Schedule, SensorNoiseConfig
@@ -112,7 +112,7 @@ class ScenarioConfig:
             except ValueError as e:
                 raise ConfigError(f"{section}: {e}") from e
         for bits in self.estimator_phase_bits:
-            size = candidate_set(0.0, 0.0, self.arrays(), bits).size
+            size = axis_points(self.arrays(), bits) ** 2
             if size > MAX_GRID_POINTS:
                 raise ConfigError(
                     f"estimator.phase_bits = {bits} on array.nx = {self.array_nx} sweeps "

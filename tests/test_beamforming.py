@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uavtrack.beamforming import (
+    axis_points,
     build_precoder,
     candidate_set,
     grid_weights,
@@ -77,6 +78,10 @@ def test_candidate_set_default_geometry():
 def test_candidate_counts_over_phase_bits():
     counts = [len(candidate_set(0.0, 0.0, CFG, l).u_values) for l in (4, 5, 6, 7, 8)]
     assert counts == [2, 3, 6, 11, 21]
+    assert [axis_points(CFG, l) for l in (4, 5, 6, 7, 8)] == counts
+    # counted without a grid; past the float range inf, not an OverflowError
+    assert axis_points(CFG, 40) == 87496355274
+    assert axis_points(CFG, 1024) == axis_points(CFG, 10**12) == math.inf
 
 
 def test_candidate_endpoints_when_step_spans_grid():

@@ -22,7 +22,6 @@ from uavtrack.campaign import (
     CampaignResult,
     TraceRow,
     emit_figure_tables,
-    read_summary_csv,
     run_campaign,
     simulate_readings,
     simulate_truth,
@@ -767,50 +766,6 @@ def test_trace_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == str(SCHEMA_VERSION)
     assert first[6] == f"{res.rows[0].true_x:.12g}"
-
-
-def test_summary_csv_round_trip(tmp_path):
-    rows = [_mk_row(0, 0, 0.01), _mk_row(1, 0, -0.01)]
-    summary = summarize(rows, ScenarioConfig())
-    path = tmp_path / "summary.csv"
-    write_summary_csv(str(path), summary)
-    back = read_summary_csv(str(path))
-    assert len(back) == len(summary)
-    for got, want in zip(back, summary):
-        assert got["scheme"] == want["scheme"]
-        assert got["block"] == want["block"]
-        assert got["n"] == want["n"]
-        assert abs(got["mse_u"] - want["mse_u"]) < 1e-12 * max(1.0, want["mse_u"])
-        assert abs(got["mean_norm_gain"] - want["mean_norm_gain"]) < 1e-12
-
-
-def test_summary_csv_round_trip_types_every_column(tmp_path):
-    # a mae past the main lobe leaves the prediction columns blank
-    rows = [_mk_row(0, 0, 0.01), _mk_row(1, 0, -0.01), _mk_row(0, 0, 0.8, scheme="gps_only")]
-    summary = summarize(rows, ScenarioConfig())
-    path = tmp_path / "summary.csv"
-    write_summary_csv(str(path), summary)
-    back = read_summary_csv(str(path))
-    assert len(back) == len(summary)
-    ints = {"schema_version", "phase_bits", "block", "n"}
-    for got, want in zip(back, summary):
-        for col in SUMMARY_HEADER:
-            if col in ints:
-                assert type(got[col]) is int and got[col] == want[col], col
-            elif col == "scheme":
-                assert got[col] == want[col]
-            elif want[col] == "":
-                assert math.isnan(got[col]), col
-            else:
-                assert type(got[col]) is float and got[col] == float(f"{want[col]:.12g}"), col
-    assert math.isnan(back[-1]["pred_gain_at_mae"]) and math.isnan(back[-1]["pred_se_at_mae"])
-
-
-def test_read_summary_rejects_missing_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("scheme,snr_db\nhybrid_gpr,20\n")
-    with pytest.raises(ConfigError, match="lacks columns"):
-        read_summary_csv(str(path))
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -1,19 +1,15 @@
 import csv
 import io
 import os
+from pathlib import Path
 
 import pytest
 
 from uavtrack import campaign
-from uavtrack.cli import main
+from uavtrack.cli import main, simulate
 from uavtrack.config import SCHEMES, ConfigError, ScenarioConfig
 
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("UAVTRACK_"):
-            monkeypatch.delenv(key)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(tmp_path, text):
@@ -68,27 +64,6 @@ def test_simulate_missing_config_is_io_error(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
-def test_env_overrides_apply(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, SMALL)
-    monkeypatch.setenv("UAVTRACK_CONFIG", cfg)
-    monkeypatch.setenv("UAVTRACK_OUT", str(tmp_path / "envruns"))
-    monkeypatch.setenv("UAVTRACK_TRIALS", "2")
-    code = main(["simulate"])
-    assert code == 0
-    lines = (tmp_path / "envruns" / "trace.csv").read_text().splitlines()
-    assert len(lines) == 5
-
-
-def test_cli_flag_beats_env(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, SMALL)
-    monkeypatch.setenv("UAVTRACK_TRIALS", "5")
-    out = tmp_path / "runs"
-    code = main(["simulate", "--config", cfg, "--out", str(out), "--trials", "1"])
-    assert code == 0
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert len(lines) == 3
-
-
 def test_trial_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
     def fail_trial_1(cfg, trial, blocks):
         if trial == 1:
@@ -123,22 +98,11 @@ def test_scheme_config_error_prints_both_notes_and_exits_2(tmp_path, monkeypatch
     )
 
 
-def test_bad_env_value_exit_2(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path, SMALL)
-    monkeypatch.setenv("UAVTRACK_TRIALS", "many")
-    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs")])
-    assert code == 2
-    assert "UAVTRACK_TRIALS" in capsys.readouterr().err
-
-
-def test_empty_scheme_list_exit_2(tmp_path, monkeypatch, capsys):
+def test_empty_scheme_list_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--schemes", ","]) == 2
-    assert "--schemes" in capsys.readouterr().err
-    monkeypatch.setenv("UAVTRACK_SCHEMES", " , ")
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert "UAVTRACK_SCHEMES" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--schemes", " , "]) == 2
+    assert "bad value --schemes=' , ': empty list" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -185,6 +149,9 @@ def test_snr_out_of_range_exit_2(tmp_path, capsys):
         ("mobility.sigma_speed = -1", "mobility: sigma_speed = -1.0 must be nonnegative"),
         ("mobility.sigma_heading = -1", "mobility: sigma_heading = -1.0 must be nonnegative"),
         ("array.nx = 1", "estimator.phase_bits = 6 on array.nx = 1 sweeps 1681 grid points"),
+        # counted, not built: at 40 bits the grid outgrows memory, and 2^2000 overflows a float
+        ("estimator.phase_bits = 40", "sweeps 7655612186234027615076 grid points, past the cap"),
+        ("estimator.phase_bits = 2000", "phase_bits = 2000 on array.nx = 8 sweeps inf grid points, past the cap"),
     ],
 )
 def test_load_time_rejections_exit_2(tmp_path, capsys, line, message):
@@ -195,17 +162,25 @@ def test_load_time_rejections_exit_2(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["file", "flag", "env"])
-def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, source):
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_negative_seed_exit_2(tmp_path, capsys, source):
     cfg = _write_config(tmp_path, SMALL + ("run.seed = -1\n" if source == "file" else ""))
     out = tmp_path / "runs"
     argv = ["simulate", "--config", cfg, "--out", str(out)]
     if source == "flag":
         argv.append("--seed=-1")
-    if source == "env":
-        monkeypatch.setenv("UAVTRACK_SEED", "-1")
     assert main(argv) == 2
     assert "run.seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits, size", [("40", "7655612186234027615076"), ("2000", "inf")])
+def test_phase_bits_flag_past_the_grid_cap_exit_2(tmp_path, capsys, bits, size):
+    cfg = _write_config(tmp_path, SMALL)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--phase-bits", bits]) == 2
+    message = f"estimator.phase_bits = {bits} on array.nx = 8 sweeps {size} grid points, past the cap"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -228,131 +203,95 @@ def test_list_flags_parse_like_config_values(tmp_path):
     assert {(r[4], r[5]) for r in rows} == {(s, b) for s in ("10", "20") for b in ("4", "5")}
 
 
-def test_tables_from_simulated_summary(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        """
-        run.trials = 1
-        run.blocks = 3
-        run.schemes = gps_only
-        """,
-    )
-    out = tmp_path / "runs"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    code = main(["tables", "--summary", str(out / "summary.csv"), "--figure", "fig6"])
-    assert code == 0
-    fig = out / "fig6.csv"
-    assert fig.exists()
-    header = fig.read_text().splitlines()[0]
-    assert header.startswith("scheme,snr_db,phase_bits,block")
-
-
-def test_tables_missing_sweep_exit_2(tmp_path, capsys):
+def test_tables_from_simulated_summary(tmp_path, capsys):
+    # one scheme at one SNR over two blocks: the per-block tables, and no
+    # fig7 for want of an SNR sweep
     cfg = _write_config(tmp_path, SMALL)
     out = tmp_path / "runs"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    code = main(["tables", "--summary", str(out / "summary.csv"), "--figure", "fig8"])
-    assert code == 2
-    assert "phase_bits sweep" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["fig5.csv", "fig6.csv", "summary.csv", "trace.csv"]
+    header = (out / "fig6.csv").read_text().splitlines()[0]
+    assert header == "scheme,snr_db,phase_bits,block,mean_norm_gain,mean_se"
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out / 'fig6.csv'}"
 
 
-def test_tables_figure_name_from_env_is_exact(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path, SMALL)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    monkeypatch.setenv("UAVTRACK_FIGURE", "FIG5")
-    code = main(["tables", "--summary", str(out / "summary.csv")])
-    assert code == 2
-    assert "unknown figure 'FIG5'" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "trace.csv"]
+# the paper's tables by the config that writes them
+PAPER_TABLES = {
+    "tracking_nominal": ["fig5.csv", "fig6.csv"],
+    "estimation_sweep": ["fig7.csv", "fig9.csv"],
+    "phase_bits": ["fig8.csv", "fig9.csv"],
+}
 
 
-def test_tables_unparsable_cell_exit_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, SMALL)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    summary = out / "summary.csv"
-    lines = summary.read_text().splitlines()
-    lines[2] = "x" + lines[2][1:]  # schema_version of the second data row
-    summary.write_text("\n".join(lines) + "\n")
-    code = main(["tables", "--summary", str(summary), "--figure", "fig5"])
-    assert code == 2
-    assert f"{summary}:3: bad schema_version value 'x'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cell, scheme", [("bogus", "bogus"), ('"hybrid,gpr"', "hybrid,gpr")])
-def test_tables_unknown_scheme_exit_2(tmp_path, capsys, cell, scheme):
-    cfg = _write_config(tmp_path, SMALL)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    summary = out / "summary.csv"
-    lines = summary.read_text().splitlines()
-    cells = lines[2].split(",")
-    cells[campaign.SUMMARY_HEADER.index("scheme")] = cell  # the second data row's
-    lines[2] = ",".join(cells)
-    summary.write_text("\n".join(lines) + "\n")
-    code = main(["tables", "--summary", str(summary), "--figure", "fig5"])
-    assert code == 2
-    assert f"{summary}:3: bad scheme value {scheme!r}" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "trace.csv"]
+@pytest.mark.parametrize("conf", list(PAPER_TABLES))
+def test_simulate_writes_the_paper_tables(tmp_path, conf):
+    tables = PAPER_TABLES[conf]
+    out = tmp_path / conf
+    argv = ["simulate", "--config", str(CONFIGS / f"{conf}.conf"), "--trials", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(["summary.csv", "trace.csv", *tables])
+    for table in tables:
+        rows = list(csv.reader((out / table).read_text().splitlines()))
+        assert len(rows) >= 2, f"{table} has no data row"
+        assert all(len(r) == len(rows[0]) for r in rows[1:])
 
 
 @pytest.fixture(scope="module")
-def every_figure_summary(tmp_path_factory):
-    """A summary with per-block rows, every scheme and SNR and phase-bits sweeps."""
+def every_figure_paths(tmp_path_factory):
+    """simulate's files for a campaign with per-block rows, every scheme and
+    SNR and phase-bits sweeps."""
     cfg = ScenarioConfig(
         run_trials=1, run_blocks=2, run_schemes=SCHEMES, link_snr_db=(10.0, 20.0),
         estimator_phase_bits=(4, 5),
     )
-    path = tmp_path_factory.mktemp("runs") / "summary.csv"
-    campaign.write_summary_csv(str(path), campaign.run_campaign(cfg).summary_rows())
-    return path
+    return simulate(cfg, str(tmp_path_factory.mktemp("runs")))[1]
+
+
+def _read_summary(path: str) -> list[dict]:
+    """The summary's rows with every cell a float but the scheme and blank cells."""
+    with open(path, newline="") as f:
+        return [
+            {col: text if col == "scheme" or text == "" else float(text) for col, text in row.items()}
+            for row in csv.DictReader(f)
+        ]
 
 
 @pytest.mark.parametrize("figure", list(campaign.FIGURES))
-def test_tables_bytes_equal_csv_writer(every_figure_summary, tmp_path, figure):
-    target = tmp_path / f"{figure}.csv"
-    argv = ["tables", "--summary", str(every_figure_summary), "--figure", figure]
-    assert main(argv + ["--out", str(target)]) == 0
-    rows = campaign.read_summary_csv(str(every_figure_summary))
-    header, table = campaign.emit_figure_tables(rows, figure)
+def test_tables_bytes_equal_csv_writer(every_figure_paths, figure):
+    # written from the summary rows in memory, a table has the bytes that
+    # csv.writer gives the summary file read back: 12 digits round-trip
+    trace, summary, *tables = every_figure_paths
+    out = os.path.dirname(trace)
+    assert tables == [os.path.join(out, f"{name}.csv") for name in campaign.FIGURES]
+    header, table = campaign.emit_figure_tables(_read_summary(summary), figure)
     assert len(table) >= 2
     buf = io.StringIO(newline="")
     csv.writer(buf, lineterminator="\n").writerows([header, *table])
-    assert target.read_bytes() == buf.getvalue().encode()
+    assert Path(out, f"{figure}.csv").read_bytes() == buf.getvalue().encode()
 
 
-def test_tables_requires_arguments(capsys):
-    code = main(["tables"])
-    assert code == 2
-    assert "--summary" in capsys.readouterr().err
-
-
-def test_tables_custom_out_path(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        """
-        run.trials = 1
-        run.blocks = 2
-        run.schemes = gps_only
-        """,
-    )
-    out = tmp_path / "runs"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    target = tmp_path / "elsewhere" / "blocks.csv"
-    code = main(
-        ["tables", "--summary", str(out / "summary.csv"), "--figure", "fig5", "--out", str(target)]
-    )
-    assert code == 0
-    assert target.exists()
+def test_simulate_ignores_uavtrack_environment(tmp_path, monkeypatch):
+    # flags and the config file are the only inputs; read, any of these
+    # variables would change the bytes or where they go
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    for name, value in [
+        ("TRIALS", "2"), ("SEED", "7"), ("SCHEMES", "hybrid_gpr"), ("OUT", str(tmp_path / "env")),
+    ]:
+        monkeypatch.setenv(f"UAVTRACK_{name}", value)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", cfg]) == 0  # --out defaults to runs
+    plain, runs = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("plain", "runs"))
+    assert runs == plain
+    assert not (tmp_path / "env").exists()
 
 
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    # the one option without an environment variable
-    assert "Every option except tables --out" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "{simulate}" in out and "UAVTRACK" not in out  # the one subcommand
 
 
 def test_module_entry_point():
@@ -367,4 +306,4 @@ def test_module_entry_point():
         [sys.executable, "-m", "uavtrack", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
-    assert "simulate" in proc.stdout and "tables" in proc.stdout
+    assert "{simulate}" in proc.stdout

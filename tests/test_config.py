@@ -157,6 +157,9 @@ BAD_VALUES = [
     ("mobility.sigma_heading", "-0.5", "mobility: sigma_heading = -0.5 must be nonnegative"),
     ("estimator.phase_bits", "9", "estimator.phase_bits = 9 on array.nx = 8 sweeps 1681 grid points"),
     ("array.nx", "1", "estimator.phase_bits = 6 on array.nx = 1 sweeps 1681 grid points"),
+    # refused from the per-axis count, before a grid is built or 2^bits overflows
+    ("estimator.phase_bits", "40", r"estimator.phase_bits = 40 on array.nx = 8 sweeps \d{22} grid points, past"),
+    ("estimator.phase_bits", "2000", "estimator.phase_bits = 2000 on array.nx = 8 sweeps inf grid points, past"),
 ]
 
 

@@ -1,7 +1,6 @@
-"""Smoke tests of the paper-figure script at one trial, of the
-equivalence campaigns' table, and of the paired timing script."""
+"""Smoke tests of the equivalence campaigns' table and of the paired timing
+script."""
 
-import csv
 import dataclasses
 import importlib.util
 import os
@@ -13,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavtrack.campaign import run_campaign, write_summary_csv, write_trace_csv
+from uavtrack.campaign import run_campaign, write_trace_csv
+from uavtrack.cli import simulate
 from uavtrack.config import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,56 +24,6 @@ def _load(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _run_figures(out_dir: Path, **environ) -> dict[str, bytes]:
-    """figures.py at one trial over the paper's three configs, with no UAVTRACK_*
-    variable set but those in environ; each CSV's bytes by its path under out_dir."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("UAVTRACK_")} | environ
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    configs = ("tracking_nominal.conf", "estimation_sweep.conf", "phase_bits.conf")
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "figures.py"), "--trials", "1", str(out_dir),
-         *(str(ROOT / "configs" / c) for c in configs)],
-        capture_output=True, text=True, env=env,
-    )
-    assert done.returncode == 0, done.stderr
-    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in out_dir.rglob("*.csv")}
-
-
-@pytest.fixture(scope="module")
-def figures_run(tmp_path_factory):
-    return _run_figures(tmp_path_factory.mktemp("figures"))
-
-
-# figures.py writes the tables two scripts wrote before it; each case checks
-# one script's tables, under the case id it had then
-@pytest.mark.parametrize(
-    "figures",
-    [
-        pytest.param({"tracking_nominal": {"fig5.csv", "fig6.csv"}}, id="run_tracking.py-figures0"),
-        pytest.param(
-            {"estimation_sweep": {"fig7.csv", "fig9.csv"}, "phase_bits": {"fig8.csv", "fig9.csv"}},
-            id="run_estimation_sweep.py-figures1",
-        ),
-    ],
-)
-def test_figure_script_writes_its_tables(figures_run, figures):
-    assert {name.split("/")[0] for name in figures_run} == {
-        "tracking_nominal", "estimation_sweep", "phase_bits",
-    }
-    for run_dir, tables in figures.items():
-        files = {name.split("/")[1] for name in figures_run if name.startswith(f"{run_dir}/")}
-        assert files == {"trace.csv", "summary.csv"} | tables
-        for table in tables:
-            rows = list(csv.reader(figures_run[f"{run_dir}/{table}"].decode().splitlines()))
-            assert len(rows) >= 2, f"{run_dir}/{table} has no data row"
-            assert all(len(r) == len(rows[0]) for r in rows[1:])
-
-
-def test_figures_ignores_uavtrack_environment(tmp_path, figures_run):
-    # the configs are read as files, not through the CLI's UAVTRACK_* fallbacks
-    assert _run_figures(tmp_path, UAVTRACK_SCHEMES="gps_only", UAVTRACK_SEED="7") == figures_run
 
 
 def test_reference_campaigns_are_valid_configs():
@@ -93,14 +43,12 @@ def test_reference_campaigns_are_valid_configs():
 def test_reference_campaigns_write_fifteen_figure_tables(tmp_path):
     # which figures a campaign supports depends on its axes and schemes, not
     # on its trial count, so one trial each shows the full run's tables
-    write_figure_tables = _load(ROOT / "scripts" / "figures.py").write_figure_tables
     written = {}
     for name, cfg in _load(ROOT / "scripts" / "reference_runs.py").campaigns().items():
-        summary = tmp_path / name / "summary.csv"
-        write_summary_csv(str(summary), run_campaign(cfg.override(run_trials=1)).summary_rows())
-        paths = write_figure_tables(str(summary))
-        assert all(os.path.dirname(p) == str(summary.parent) for p in paths)
-        written[name] = [os.path.basename(p) for p in paths]
+        paths = simulate(cfg.override(run_trials=1), str(tmp_path / name))[1]
+        assert all(os.path.dirname(p) == str(tmp_path / name) for p in paths)
+        assert [os.path.basename(p) for p in paths[:2]] == ["trace.csv", "summary.csv"]
+        written[name] = [os.path.basename(p) for p in paths[2:]]
     by_block = ["fig5.csv", "fig6.csv"]
     assert written == {
         "golden": ["fig5.csv", "fig6.csv", "fig7.csv", "fig8.csv", "fig9.csv"],
