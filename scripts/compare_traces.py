@@ -3,6 +3,7 @@
 
     python3 scripts/compare_traces.py OLD NEW
     python3 scripts/compare_traces.py OLD_DIR NEW_DIR
+    python3 scripts/compare_traces.py --paired MARGIN OLD_TRACE NEW_TRACE
 
 Key columns (the sweep and row coordinates), `iterations` and
 `measurements` must match exactly, and so must the header and the row
@@ -24,6 +25,21 @@ figure tables) in them and prints one block per file, headed by its
 relative path. A file on one side only counts as a difference (1), an
 unreadable one as 2, and the exit status is the worst of all files. Two
 directories without any such file exit 2.
+
+--paired judges a change that moves the estimator on purpose. It reads
+two trace.csv files of one campaign, run by two trees at the same seed,
+so the rows pair on (trial, block, scheme, snr_db, phase_bits): truth,
+sensors and pilot noise are the same on both sides. Rows whose keys
+differ, or a row count that does, exit 1. For each (scheme, snr_db,
+phase_bits) group it prints the paired mean difference new - old of the
+squared angle error 0.5 * (du^2 + dv^2) and of norm_gain, each with a 95 %
+percentile-bootstrap interval (RESAMPLES resamples from a generator seeded
+with BOOTSTRAP_SEED, so the verdict repeats), stated relative to the old
+group mean; then the mean change in iterations and in measurements. The
+change passes when every interval lies within +-MARGIN (0.10 is +-10 %),
+which is two one-sided tests of equivalence (Schuirmann 1987). The last
+line is `paired gate: pass` (exit 0) or `paired gate: fail` (exit 1). A
+bad margin, a missing column or a field that is not a number exits 2.
 """
 
 import csv
@@ -31,6 +47,8 @@ import glob
 import math
 import os
 import sys
+
+import numpy as np
 
 # key columns, then counts
 EXACT = ("schema_version", "trial", "block", "scheme", "snr_db", "phase_bits",
@@ -156,13 +174,98 @@ def compare_dirs(old_dir: str, new_dir: str, out=sys.stdout) -> int:
     return worst
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        print("usage: compare_traces.py OLD NEW", file=sys.stderr)
-        sys.exit(2)
-    both_dirs = all(map(os.path.isdir, sys.argv[1:]))
+PAIR_KEY = ("trial", "block", "scheme", "snr_db", "phase_bits")
+RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
+
+
+def _paired_columns(path):
+    """Row keys, and per row [0.5 (du^2 + dv^2), norm_gain, iterations, measurements]."""
+    header, rows = _read(path)
+    col = {name: i for i, name in enumerate(header)}
+    missing = [n for n in PAIR_KEY + ANGLES + ("norm_gain",) + COUNTS if n not in col]
+    if missing:
+        raise InputError(f"{path} has no column {', '.join(missing)}")
     try:
-        sys.exit((compare_dirs if both_dirs else compare)(sys.argv[1], sys.argv[2]))
+        keys = [tuple(r[col[n]] for n in PAIR_KEY) for r in rows]
+        eu, tu, ev, tv, gain, its, meas = (
+            np.array([float(r[col[n]]) for r in rows]) for n in ANGLES + ("norm_gain",) + COUNTS
+        )
+    except (ValueError, IndexError) as e:
+        raise InputError(f"{path}: {e}") from e
+    err2 = 0.5 * ((eu - tu) ** 2 + (ev - tv) ** 2)
+    return keys, np.column_stack([err2, gain, its, meas])
+
+
+def bootstrap_interval(d: np.ndarray, rng) -> np.ndarray:
+    """95 % percentile-bootstrap intervals of the column means of d, shape (2, columns)."""
+    n, chunk = len(d), 100  # resamples per draw, to bound the index array
+    means = np.concatenate(
+        [d[rng.integers(0, n, (chunk, n))].mean(axis=1) for _ in range(RESAMPLES // chunk)]
+    )
+    return np.percentile(means, [2.5, 97.5], axis=0)
+
+
+def _relative(bound: float, base: float) -> float:
+    if base != 0.0:
+        return bound / abs(base)
+    return 0.0 if bound == 0.0 else math.copysign(math.inf, bound)
+
+
+def compare_paired(margin: float, old_path: str, new_path: str, out=sys.stdout) -> int:
+    old_keys, old = _paired_columns(old_path)
+    new_keys, new = _paired_columns(new_path)
+    if len(old_keys) != len(new_keys):
+        print(f"row counts differ: {len(old_keys)} against {len(new_keys)}", file=out)
+        return 1
+    for row, (a, b) in enumerate(zip(old_keys, new_keys), start=1):
+        if a != b:
+            print(f"row {row}: key {PAIR_KEY} differs: {a} against {b}", file=out)
+            return 1
+    groups = {}  # (scheme, snr_db, phase_bits): row indices
+    for i, key in enumerate(old_keys):
+        groups.setdefault(key[2:], []).append(i)
+    print(f"paired: {len(old_keys)} rows, margin +-{margin:.0%}; per group the old mean, the "
+          f"mean change and its 95 % interval ({RESAMPLES} resamples), relative to the old "
+          "mean, then the mean change in counts", file=out)
+    passed = True
+    for group, idx in groups.items():
+        diff = new[idx] - old[idx]
+        lo_hi = bootstrap_interval(diff[:, :2], np.random.default_rng(BOOTSTRAP_SEED))
+        parts = []
+        for j, name in enumerate(("err2", "norm_gain")):
+            base = float(old[idx, j].mean())
+            lo, hi = (_relative(float(b), base) for b in lo_hi[:, j])
+            passed &= -margin <= lo and hi <= margin
+            change = _relative(float(diff[:, j].mean()), base)
+            parts.append(f"{name} {base:.4g} {change:+.2%} [{lo:+.2%}, {hi:+.2%}]")
+        counts = diff[:, 2:].mean(axis=0)
+        parts.append(f"iterations {counts[0]:+.3f}, measurements {counts[1]:+.3f}")
+        scheme, snr_db, bits = group
+        print(f"  {scheme} {snr_db} dB {bits} bits, {len(idx)} pairs: " + "; ".join(parts),
+              file=out)
+    print(f"paired gate: {'pass' if passed else 'fail'}", file=out)
+    return 0 if passed else 1
+
+
+def _main(args) -> int:
+    if len(args) == 4 and args[0] == "--paired":
+        try:
+            margin = float(args[1])
+        except ValueError:
+            margin = math.nan
+        if not 0.0 < margin < math.inf:
+            raise InputError(f"MARGIN must be a positive number, got {args[1]!r}")
+        return compare_paired(margin, args[2], args[3])
+    if len(args) != 2 or args[0].startswith("--"):
+        raise InputError("usage: compare_traces.py OLD NEW | --paired MARGIN OLD_TRACE NEW_TRACE")
+    both_dirs = all(map(os.path.isdir, args))
+    return (compare_dirs if both_dirs else compare)(*args)
+
+
+if __name__ == "__main__":
+    try:
+        sys.exit(_main(sys.argv[1:]))
     except InputError as e:
         print(f"compare_traces.py: {e}", file=sys.stderr)
         sys.exit(2)

@@ -166,14 +166,17 @@ def _loudest(cands: CandidateSet, y: np.ndarray) -> tuple[float, float]:
     return _into_unit_disk(*cands.points[int(np.argmax(y))].tolist())
 
 
-def _initial_surface(cands: CandidateSet, y: np.ndarray):
+def _initial_surface(cands: CandidateSet, y: np.ndarray, cfg: ArrayConfig, budget: LinkBudget):
     """The surrogate fitted to a grid sweep's magnitudes y, and the sweep's
     loudest point.
 
-    The fit starts from the model factorized at the data-driven initial
-    hyperparameters; this is the one make_model call of a refine.
+    The fit starts at default_init, with sigma_n the noise std of one
+    normalized magnitude: the pilot noise's std per real dimension over
+    the coherent array factor. It starts from the model factorized there;
+    this is the one make_model call of a refine.
     """
-    model = make_model(cands.points, y, default_init(cands.points, y))
+    noise_sd = normalized_gain(math.sqrt(budget.sigma_n2 / 2.0), cfg)
+    model = make_model(cands.points, y, default_init(cands.points, y, noise_sd))
     return fit_hyperparams(cands.points, y, model, FIT_MAX_ITER).model, _loudest(cands, y)
 
 
@@ -228,7 +231,7 @@ def refine_hybrid(
         return baseline_gps_only(seed)
     sounder = BeamSounder(heff, cfg, budget, rng)
     y = normalized_gain(sounder.grid(cands.u_values, cands.v_values), cfg)
-    model, x0 = _initial_surface(cands, y)
+    model, x0 = _initial_surface(cands, y, cfg, budget)
 
     def probe(u, v):
         nonlocal model
@@ -263,7 +266,8 @@ def refine_analog(
     cands, beams = _grid(seed, cfg, est, grids, beams=True)
     if cands is None:
         return baseline_gps_only(seed)
-    model, x0 = _initial_surface(cands, _measure_quantized(heff, beams, cfg, budget, rng))
+    y = _measure_quantized(heff, beams, cfg, budget, rng)
+    model, x0 = _initial_surface(cands, y, cfg, budget)
 
     def probe(u, v):
         x = np.array((u, v))

@@ -859,11 +859,6 @@ def test_fig5_per_block_table():
     assert [r[3] for r in rows] == [0, 1, 2, 3]
 
 
-def test_unknown_figure_rejected():
-    with pytest.raises(ConfigError, match="unknown figure"):
-        emit_figure_tables(_sweep_summary(), "fig99")
-
-
 def test_summary_rows_carry_schema_version():
     rows = [_mk_row(0, 0, 0.01)]
     out = summarize(rows, ScenarioConfig())

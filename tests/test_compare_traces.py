@@ -1,7 +1,10 @@
+import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_traces.py"
@@ -191,3 +194,101 @@ def test_directories_without_campaign_csvs_exit_2(tmp_path):
     done = _run_dirs(tmp_path / "old", tmp_path / "new")
     assert done.returncode == 2
     assert "no */trace.csv, */summary.csv or */fig*.csv" in done.stderr
+
+
+PAIRED_HEADER = (
+    "schema_version,trial,block,scheme,snr_db,phase_bits,true_u,true_v,est_u,est_v,"
+    "norm_gain,iterations,measurements\n"
+)
+
+
+def _paired_trace(path, errors, scale=None):
+    """A trace of two schemes at one SNR: row i of each scheme misses the
+    truth by errors[i] on both axes, times sqrt(scale[scheme]) if given."""
+    lines = [PAIRED_HEADER]
+    for trial, e in enumerate(errors):
+        for scheme in ("hybrid_gpr", "gps_only"):
+            d = e * math.sqrt((scale or {}).get(scheme, 1.0))
+            lines.append(f"1,{trial},0,{scheme},10,6,0.2,-0.1,{0.2 + d},{-0.1 + d},0.95,4,40\n")
+    path.write_text("".join(lines))
+    return path
+
+
+def _run_paired(old, new, margin="0.1"):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--paired", margin, str(old), str(new)],
+        capture_output=True, text=True,
+    )
+
+
+ERRORS = np.random.default_rng(3).normal(0.0, 0.01, 60)
+
+
+def test_paired_file_against_itself_passes(tmp_path):
+    trace = _paired_trace(tmp_path / "trace.csv", ERRORS)
+    done = _run_paired(trace, trace)
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "paired gate: pass"
+    assert lines[1].startswith("  hybrid_gpr 10 dB 6 bits, 60 pairs: err2 ")
+    assert "+0.00% [+0.00%, +0.00%]" in lines[1]
+    assert lines[1].endswith("iterations +0.000, measurements +0.000")
+    assert lines[2].startswith("  gps_only 10 dB 6 bits, 60 pairs: ")
+
+
+def test_paired_shift_of_thirty_percent_in_one_group_fails(tmp_path):
+    old = _paired_trace(tmp_path / "old.csv", ERRORS)
+    new = _paired_trace(tmp_path / "new.csv", ERRORS, scale={"hybrid_gpr": 1.3})
+    done = _run_paired(old, new)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "paired gate: fail"
+    assert "err2" in lines[1] and " +30.00% [" in lines[1]
+    assert " +0.00% [+0.00%, +0.00%]" in lines[2]  # gps_only did not move
+
+
+def test_paired_key_mismatch_exits_1(tmp_path):
+    old = _paired_trace(tmp_path / "old.csv", ERRORS)
+    new = tmp_path / "new.csv"
+    new.write_text(old.read_text().replace("1,5,0,gps_only,10,", "1,5,0,gps_only,20,"))
+    done = _run_paired(old, new)
+    assert done.returncode == 1
+    assert done.stdout.startswith("row 12: key ")
+    new.write_text("".join(old.read_text().splitlines(keepends=True)[:-1]))
+    done = _run_paired(old, new)
+    assert (done.returncode, done.stdout) == (1, "row counts differ: 120 against 119\n")
+
+
+@pytest.mark.parametrize(
+    "margin, edit, message",
+    [
+        ("zero", None, "MARGIN must be a positive number"),
+        ("-0.1", None, "MARGIN must be a positive number"),
+        ("0.1", lambda text: text.replace(",norm_gain,", ",gain,"), "has no column norm_gain"),
+        ("0.1", lambda text: text.replace("0.95,4,40\n", "x,4,40\n", 1), "could not convert"),
+    ],
+    ids=["word", "negative", "column", "number"],
+)
+def test_paired_bad_input_exits_2(tmp_path, margin, edit, message):
+    old = _paired_trace(tmp_path / "old.csv", ERRORS)
+    new = tmp_path / "new.csv"
+    new.write_text(edit(old.read_text()) if edit else old.read_text())
+    done = _run_paired(old, new, margin)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr
+
+
+def test_paired_interval_covers_a_known_mean():
+    # 95 % intervals of the mean of 40 paired differences with mean 0.3
+    # cover it in 90-99 % of replications
+    spec = importlib.util.spec_from_file_location("compare_traces", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    data = np.random.default_rng(11)
+    covered = 0
+    for _ in range(200):
+        d = 0.3 + data.standard_normal((40, 1))
+        (lo,), (hi,) = script.bootstrap_interval(d, np.random.default_rng(script.BOOTSTRAP_SEED))
+        covered += lo <= 0.3 <= hi
+    assert 180 <= covered <= 198

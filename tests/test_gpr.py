@@ -208,12 +208,15 @@ def test_likelihood_gradient_scalar_case_by_hand():
 
 
 def test_default_init_spans_and_std():
+    # output std 1 and half spans 0.1 and 0.2, times INIT_SIGNAL = 1.2 and
+    # INIT_LENGTH = 0.8; sigma_n is the noise std given
     x = np.array([[0.0, 0.0], [0.2, 0.4]])
     y = np.array([1.0, 3.0])
-    hp = default_init(x, y)
-    assert abs(hp.sigma_s - 1.0) < 1e-12
-    assert abs(hp.lengthscales[0] - 0.1) < 1e-12
-    assert abs(hp.lengthscales[1] - 0.2) < 1e-12
+    hp = default_init(x, y, 0.07)
+    assert abs(hp.sigma_s - 1.2) < 1e-12
+    assert abs(hp.lengthscales[0] - 0.08) < 1e-12
+    assert abs(hp.lengthscales[1] - 0.16) < 1e-12
+    assert hp.sigma_n == 0.07
 
 
 def test_fit_trace_is_monotone():
@@ -221,7 +224,7 @@ def test_fit_trace_is_monotone():
     x = rng.uniform(-0.3, 0.3, (40, 2))
     truth = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
     y = _sample_surface(rng, x, truth)
-    res = fit_hyperparams(x, y, max_iter=30)
+    res = fit_hyperparams(x, y, default_init(x, y, truth.sigma_n), max_iter=30)
     assert len(res.trace) >= 2
     assert np.all(np.diff(res.trace) > 0.0)
     assert res.log_marginal == res.trace[-1]
@@ -243,14 +246,14 @@ def _derivatives(x, y, hp):
     return obj.derivatives(v, k, chol, jitter, alpha), jitter
 
 
-# at_init: at the point every cold fit starts from (default_init), else at
-# random hyperparameters
+# at_init: at the kind of point every initial fit starts from (default_init,
+# here at sigma_n = 0.1), else at random hyperparameters
 @pytest.mark.parametrize("at_init", [True, False])
 @pytest.mark.parametrize("n", [10, 36, 86])
 def test_log_space_hessian_matches_central_differences(n, at_init):
     rng = np.random.default_rng(20 + n)
     x, y = _random_set(rng, n)
-    hp = default_init(x, y) if at_init else _random_hyperparams(rng)
+    hp = default_init(x, y, 0.1) if at_init else _random_hyperparams(rng)
     (g, _, hess), _ = _derivatives(x, y, hp)
     # the fit's gradient is likelihood_gradient's, by the chain rule to log space
     vals = np.array(hp.as_list())
@@ -274,7 +277,7 @@ def test_log_space_hessian_matches_central_differences(n, at_init):
 def test_fisher_matches_dense_trace_formula(n, at_init):
     rng = np.random.default_rng(30 + n)
     x, y = _random_set(rng, n)
-    hp = default_init(x, y) if at_init else _random_hyperparams(rng)
+    hp = default_init(x, y, 0.1) if at_init else _random_hyperparams(rng)
     (_, fisher, _), jitter = _derivatives(x, y, hp)
     k = kernel(x, x, hp)
     kinv = np.linalg.inv(k + (hp.sigma_n**2 + jitter) * np.eye(n))
@@ -286,16 +289,24 @@ def test_fisher_matches_dense_trace_formula(n, at_init):
     assert np.max(np.abs(fisher - dense)) < 1e-9 * np.max(np.abs(dense))
 
 
+PRIOR = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
+
+
 def _prior_draw(seed, n=50):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.3, 0.3, (n, 2))
-    truth = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
-    return x, _sample_surface(rng, x, truth)
+    return x, _sample_surface(rng, x, PRIOR)
+
+
+def _cold_start(x, y):
+    """The start of a fit that knows its data's noise std, as the tracker's
+    initial fit does."""
+    return default_init(x, y, PRIOR.sigma_n)
 
 
 def test_fit_warm_started_at_its_optimum_takes_no_step():
     x, y = _prior_draw(14)
-    first = fit_hyperparams(x, y, max_iter=200)
+    first = fit_hyperparams(x, y, _cold_start(x, y), max_iter=200)
     assert first.warning is None
     assert first.iterations < 200
     again = fit_hyperparams(x, y, init=first.hyperparams, max_iter=200)
@@ -309,7 +320,8 @@ def test_fit_warm_started_at_its_optimum_takes_no_step():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60))
 def test_fit_hands_back_the_model_make_model_builds(seed, n):
     x, y = _prior_draw(seed, n)
-    for init in (None, make_model(x, y, default_init(x, y))):
+    start = _cold_start(x, y)
+    for init in (start, make_model(x, y, start)):
         fit = fit_hyperparams(x, y, init, tr.FIT_MAX_ITER)
         fresh = make_model(x, y, fit.hyperparams)
         assert fit.model.hp is fit.hyperparams
@@ -323,7 +335,7 @@ def test_fit_hands_back_the_model_make_model_builds(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), appends=st.integers(1, 5))
 def test_fit_from_an_appended_model_matches_one_from_a_fresh_factor(seed, n, appends):
     x, y = _prior_draw(seed, n + appends)
-    hp = default_init(x[:n], y[:n])
+    hp = _cold_start(x[:n], y[:n])
     grown = make_model(x[:n], y[:n], hp)
     for px, py in zip(x[n:], y[n:]):
         grown = grown.with_point(px, py)
@@ -336,7 +348,7 @@ def test_fit_from_an_appended_model_matches_one_from_a_fresh_factor(seed, n, app
 
 def test_fit_from_a_model_takes_its_factor_as_the_first_evaluation(monkeypatch):
     x, y = _prior_draw(14)
-    first = fit_hyperparams(x, y, max_iter=200)
+    first = fit_hyperparams(x, y, _cold_start(x, y), max_iter=200)
     factorized = []
     real = gpr.dpotrf
 
@@ -371,12 +383,12 @@ def test_fit_rejects_a_model_of_other_data():
 def test_fit_ends_within_tolerance_of_converged_reference(monkeypatch):
     for seed in range(14, 19):
         x, y = _prior_draw(seed)
-        res = fit_hyperparams(x, y)
+        res = fit_hyperparams(x, y, _cold_start(x, y))
         assert res.warning is None
         assert res.iterations < tr.FIT_MAX_ITER
         with monkeypatch.context() as m:
             m.setattr(gpr, "FIT_TOL", 1e-9)
-            ref = fit_hyperparams(x, y, max_iter=200)
+            ref = fit_hyperparams(x, y, _cold_start(x, y), max_iter=200)
         # the reference repeats the fit's steps, then keeps going
         assert ref.trace[: len(res.trace)] == res.trace
         assert ref.log_marginal - res.log_marginal <= gpr.FIT_TOL
@@ -406,7 +418,7 @@ def test_fitted_parameters_stay_inside_bounds():
     for _ in range(10):
         c = rng.uniform(-0.05, 0.05, 2)
         y = np.exp(-((x - c) ** 2).sum(axis=1) / 0.02)
-        init = replace(default_init(x, y), sigma_n=gpr.BOUND_LO)
+        init = default_init(x, y, gpr.BOUND_LO)
         res = fit_hyperparams(x, y, init=init)
         assert res.iterations >= 1
         values = np.array(res.hyperparams.as_list())
@@ -421,7 +433,7 @@ def test_fit_recovers_lengthscale_within_factor():
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-0.3, 0.3, (50, 2))
         y = _sample_surface(rng, x, truth)
-        res = fit_hyperparams(x, y)
+        res = fit_hyperparams(x, y, default_init(x, y, truth.sigma_n))
         ratios.append(res.hyperparams.lengthscales[0] / truth.lengthscales[0])
     med = float(np.median(ratios))
     assert 1.0 / 1.5 <= med <= 1.5
@@ -636,7 +648,7 @@ def test_non_finite_training_data_raises(where):
         y[5] = np.nan
     for call in (
         lambda: make_model(x, y, HP),
-        lambda: fit_hyperparams(x, y),
+        lambda: fit_hyperparams(x, y, HP),
         lambda: log_marginal_likelihood(x, y, HP),
     ):
         with pytest.raises(ValueError, match="non-finite training point at row 5"):
