@@ -36,10 +36,13 @@ squared angle error 0.5 * (du^2 + dv^2) and of norm_gain, each with a 95 %
 percentile-bootstrap interval (RESAMPLES resamples from a generator seeded
 with BOOTSTRAP_SEED, so the verdict repeats), stated relative to the old
 group mean; then the mean change in iterations and in measurements. The
-change passes when every interval lies within +-MARGIN (0.10 is +-10 %),
-which is two one-sided tests of equivalence (Schuirmann 1987). The last
-line is `paired gate: pass` (exit 0) or `paired gate: fail` (exit 1). A
-bad margin, a missing column or a field that is not a number exits 2.
+change passes when every interval lies within +-MARGIN (0.10 is +-10 %).
+Per group this is Schuirmann's (1987) two one-sided tests of equivalence,
+each at alpha = 0.025 because the interval is two-sided 95 %; there is no
+correction across groups, so the error rate holds per group, not for the
+campaign. The last line is `paired gate: pass` (exit 0) or `paired gate:
+fail` (exit 1). A bad margin, a missing column or a field that is not a
+number exits 2.
 """
 
 import csv

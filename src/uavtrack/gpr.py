@@ -9,8 +9,8 @@ Fisher scoring (Mardia & Marshall, Biometrika 1984; Rasmussen & Williams
 when a step's predicted gain falls below FIT_TOL nats. A fit starts where
 it is told: the tracker's initial fit at default_init, which takes the
 noise std from the link budget and puts sigma_s and the length scales at
-calibrated ratios to the data, where such fits end; its refits at the
-model they refine. The fitted model
+calibrated ratios to the output std and the search box, where such fits
+end; its refits at the model they refine. The fitted model
 supports cheap point appends through a rank-one extension of its Cholesky
 factor. All derivatives are analytic; finite differences appear only in
 tests.
@@ -19,6 +19,7 @@ tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,8 +48,8 @@ FIT_TOL = 1e-2  # the fit stops on a smaller predicted gain, in nats
 RIDGE = 1e-6  # curvature floor of a fit step, relative to the largest Fisher entry
 BOUND_LO, BOUND_HI = 1e-8, 1e8  # clamp on every fitted parameter, natural units
 # default_init's ratios of sigma_s to the output std and of each length scale
-# to half its axis span: the medians, 1.19 and 0.80, at which the initial
-# fits of criterion7.conf (40 trials, run.seed 777001) and
+# to the search box's half width on its axis: the medians, 1.19 and 0.78, at
+# which the initial fits of criterion7.conf (40 trials, run.seed 777001) and
 # estimation_sweep.conf (100 trials, run.seed 777002) ended, seeds that no
 # test or benchmark runs
 INIT_SIGNAL = 1.2
@@ -306,21 +307,23 @@ class _Objective:
         return np.array(g), fisher, hess
 
 
-def default_init(x: np.ndarray, y: np.ndarray, sigma_n: float) -> Hyperparams:
+def default_init(y: np.ndarray, sigma_n: float, half_widths: Sequence[float]) -> Hyperparams:
     """Where the initial fit starts: near where such fits end.
 
     sigma_n is the noise std of one measurement, which the caller knows
     from its link budget (Rasmussen & Williams 2006, sec. 5.4.1: start
     from what the data and the noise level already say). sigma_s is
-    INIT_SIGNAL times the output std, and each length scale INIT_LENGTH
-    times half the span of its axis.
+    INIT_SIGNAL times the output std. Each length scale is INIT_LENGTH
+    times half_widths on its axis, the half width of the box the inputs
+    sample: the tracker's search box, seed -/+ 2 / nx, whose width the
+    main lobe sets at every phase resolution. The span of the sampled
+    points would shrink the start on a coarse grid (a 3 x 3 grid at 5 bits
+    spans 0.79 of the box), where a fit of 4 or 9 points stays near its
+    start and a short length scale cost the hybrid tracker accuracy.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
     sd = float(np.std(y))
     sigma_s = INIT_SIGNAL * sd if sd > 0.0 else 1e-3
-    spans = np.ptp(x, axis=0) / 2.0
-    ells = tuple(INIT_LENGTH * float(s) if s > 0.0 else 1e-2 for s in spans)
+    ells = tuple(INIT_LENGTH * float(h) for h in half_widths)
     return Hyperparams(sigma_s=sigma_s, lengthscales=ells, sigma_n=sigma_n)
 
 

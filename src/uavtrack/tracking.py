@@ -171,12 +171,14 @@ def _initial_surface(cands: CandidateSet, y: np.ndarray, cfg: ArrayConfig, budge
     loudest point.
 
     The fit starts at default_init, with sigma_n the noise std of one
-    normalized magnitude: the pilot noise's std per real dimension over
-    the coherent array factor. It starts from the model factorized there;
-    this is the one make_model call of a refine.
+    normalized magnitude (the pilot noise's std per real dimension over
+    the coherent array factor) and the length scales scaled to the
+    candidate box. It starts from the model factorized there; this is the
+    one make_model call of a refine.
     """
     noise_sd = normalized_gain(math.sqrt(budget.sigma_n2 / 2.0), cfg)
-    model = make_model(cands.points, y, default_init(cands.points, y, noise_sd))
+    start = default_init(y, noise_sd, ((cands.hi - cands.lo) / 2.0).tolist())
+    model = make_model(cands.points, y, start)
     return fit_hyperparams(cands.points, y, model, FIT_MAX_ITER).model, _loudest(cands, y)
 
 

@@ -20,6 +20,8 @@ from uavtrack.gpr import (
 )
 
 HP = Hyperparams(sigma_s=1.2, lengthscales=(0.15, 0.2), sigma_n=0.1)
+# half widths of the box [-0.3, 0.3]^2 that _random_set and _prior_draw sample
+BOX = (0.3, 0.3)
 
 
 def _random_set(rng, n=10):
@@ -208,11 +210,10 @@ def test_likelihood_gradient_scalar_case_by_hand():
 
 
 def test_default_init_spans_and_std():
-    # output std 1 and half spans 0.1 and 0.2, times INIT_SIGNAL = 1.2 and
-    # INIT_LENGTH = 0.8; sigma_n is the noise std given
-    x = np.array([[0.0, 0.0], [0.2, 0.4]])
+    # output std 1 and box half widths 0.1 and 0.2, times INIT_SIGNAL = 1.2
+    # and INIT_LENGTH = 0.8; sigma_n is the noise std given
     y = np.array([1.0, 3.0])
-    hp = default_init(x, y, 0.07)
+    hp = default_init(y, 0.07, (0.1, 0.2))
     assert abs(hp.sigma_s - 1.2) < 1e-12
     assert abs(hp.lengthscales[0] - 0.08) < 1e-12
     assert abs(hp.lengthscales[1] - 0.16) < 1e-12
@@ -224,7 +225,7 @@ def test_fit_trace_is_monotone():
     x = rng.uniform(-0.3, 0.3, (40, 2))
     truth = Hyperparams(sigma_s=1.0, lengthscales=(0.1, 0.1), sigma_n=0.05)
     y = _sample_surface(rng, x, truth)
-    res = fit_hyperparams(x, y, default_init(x, y, truth.sigma_n), max_iter=30)
+    res = fit_hyperparams(x, y, default_init(y, truth.sigma_n, BOX), max_iter=30)
     assert len(res.trace) >= 2
     assert np.all(np.diff(res.trace) > 0.0)
     assert res.log_marginal == res.trace[-1]
@@ -253,7 +254,7 @@ def _derivatives(x, y, hp):
 def test_log_space_hessian_matches_central_differences(n, at_init):
     rng = np.random.default_rng(20 + n)
     x, y = _random_set(rng, n)
-    hp = default_init(x, y, 0.1) if at_init else _random_hyperparams(rng)
+    hp = default_init(y, 0.1, BOX) if at_init else _random_hyperparams(rng)
     (g, _, hess), _ = _derivatives(x, y, hp)
     # the fit's gradient is likelihood_gradient's, by the chain rule to log space
     vals = np.array(hp.as_list())
@@ -277,7 +278,7 @@ def test_log_space_hessian_matches_central_differences(n, at_init):
 def test_fisher_matches_dense_trace_formula(n, at_init):
     rng = np.random.default_rng(30 + n)
     x, y = _random_set(rng, n)
-    hp = default_init(x, y, 0.1) if at_init else _random_hyperparams(rng)
+    hp = default_init(y, 0.1, BOX) if at_init else _random_hyperparams(rng)
     (_, fisher, _), jitter = _derivatives(x, y, hp)
     k = kernel(x, x, hp)
     kinv = np.linalg.inv(k + (hp.sigma_n**2 + jitter) * np.eye(n))
@@ -298,15 +299,15 @@ def _prior_draw(seed, n=50):
     return x, _sample_surface(rng, x, PRIOR)
 
 
-def _cold_start(x, y):
-    """The start of a fit that knows its data's noise std, as the tracker's
-    initial fit does."""
-    return default_init(x, y, PRIOR.sigma_n)
+def _cold_start(y):
+    """The start of a fit that knows its data's noise std and input box, as
+    the tracker's initial fit does."""
+    return default_init(y, PRIOR.sigma_n, BOX)
 
 
 def test_fit_warm_started_at_its_optimum_takes_no_step():
     x, y = _prior_draw(14)
-    first = fit_hyperparams(x, y, _cold_start(x, y), max_iter=200)
+    first = fit_hyperparams(x, y, _cold_start(y), max_iter=200)
     assert first.warning is None
     assert first.iterations < 200
     again = fit_hyperparams(x, y, init=first.hyperparams, max_iter=200)
@@ -320,7 +321,7 @@ def test_fit_warm_started_at_its_optimum_takes_no_step():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60))
 def test_fit_hands_back_the_model_make_model_builds(seed, n):
     x, y = _prior_draw(seed, n)
-    start = _cold_start(x, y)
+    start = _cold_start(y)
     for init in (start, make_model(x, y, start)):
         fit = fit_hyperparams(x, y, init, tr.FIT_MAX_ITER)
         fresh = make_model(x, y, fit.hyperparams)
@@ -335,7 +336,7 @@ def test_fit_hands_back_the_model_make_model_builds(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), appends=st.integers(1, 5))
 def test_fit_from_an_appended_model_matches_one_from_a_fresh_factor(seed, n, appends):
     x, y = _prior_draw(seed, n + appends)
-    hp = _cold_start(x[:n], y[:n])
+    hp = _cold_start(y[:n])
     grown = make_model(x[:n], y[:n], hp)
     for px, py in zip(x[n:], y[n:]):
         grown = grown.with_point(px, py)
@@ -348,7 +349,7 @@ def test_fit_from_an_appended_model_matches_one_from_a_fresh_factor(seed, n, app
 
 def test_fit_from_a_model_takes_its_factor_as_the_first_evaluation(monkeypatch):
     x, y = _prior_draw(14)
-    first = fit_hyperparams(x, y, _cold_start(x, y), max_iter=200)
+    first = fit_hyperparams(x, y, _cold_start(y), max_iter=200)
     factorized = []
     real = gpr.dpotrf
 
@@ -383,12 +384,12 @@ def test_fit_rejects_a_model_of_other_data():
 def test_fit_ends_within_tolerance_of_converged_reference(monkeypatch):
     for seed in range(14, 19):
         x, y = _prior_draw(seed)
-        res = fit_hyperparams(x, y, _cold_start(x, y))
+        res = fit_hyperparams(x, y, _cold_start(y))
         assert res.warning is None
         assert res.iterations < tr.FIT_MAX_ITER
         with monkeypatch.context() as m:
             m.setattr(gpr, "FIT_TOL", 1e-9)
-            ref = fit_hyperparams(x, y, _cold_start(x, y), max_iter=200)
+            ref = fit_hyperparams(x, y, _cold_start(y), max_iter=200)
         # the reference repeats the fit's steps, then keeps going
         assert ref.trace[: len(res.trace)] == res.trace
         assert ref.log_marginal - res.log_marginal <= gpr.FIT_TOL
@@ -418,7 +419,7 @@ def test_fitted_parameters_stay_inside_bounds():
     for _ in range(10):
         c = rng.uniform(-0.05, 0.05, 2)
         y = np.exp(-((x - c) ** 2).sum(axis=1) / 0.02)
-        init = default_init(x, y, gpr.BOUND_LO)
+        init = default_init(y, gpr.BOUND_LO, (0.1, 0.1))
         res = fit_hyperparams(x, y, init=init)
         assert res.iterations >= 1
         values = np.array(res.hyperparams.as_list())
@@ -433,7 +434,7 @@ def test_fit_recovers_lengthscale_within_factor():
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-0.3, 0.3, (50, 2))
         y = _sample_surface(rng, x, truth)
-        res = fit_hyperparams(x, y, default_init(x, y, truth.sigma_n))
+        res = fit_hyperparams(x, y, default_init(y, truth.sigma_n, BOX))
         ratios.append(res.hyperparams.lengthscales[0] / truth.lengthscales[0])
     med = float(np.median(ratios))
     assert 1.0 / 1.5 <= med <= 1.5

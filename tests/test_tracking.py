@@ -341,22 +341,32 @@ def test_analog_iteration_count_stable_across_snr():
     assert 0.8 <= means[0] / means[1] <= 1.25
 
 
-# At 30 dB the likelihood is sharper, and the same start leaves about one
-# more iteration: 3.0 on average there, on these sweeps and on the estimation
-# sweep's. A start at the output std, the half spans and sigma_n = 0.1
-# sigma_s took 4.7, 4.8 and 5.7 on these sweeps.
-@pytest.mark.parametrize("snr_db, bound", [(0.0, 3.0), (10.0, 3.0), (30.0, 3.5)])
+# At 30 dB the start takes 3.1 iterations on these sweeps: sigma_n is
+# poorly identified there, and the fits that take five or more steps are
+# those whose sigma_n falls far below the pilot noise to interpolate the
+# sweep, which no start near the noise level avoids. That case keeps the
+# bound of 3 and is expected to fail.
+@pytest.mark.parametrize(
+    "snr_db, bound",
+    [
+        (0.0, 3.0),
+        (10.0, 3.0),
+        pytest.param(30.0, 3.0, marks=pytest.mark.xfail(
+            strict=True, reason="3.1 initial-fit iterations on average at 30 dB")),
+    ],
+)
 def test_initial_fit_starts_where_fits_end(monkeypatch, snr_db, bound):
     # default_init's sigma_n is the noise std of one normalized magnitude,
     # and its sigma_s and length scales sit at the ratios where fits end, so
     # the initial fit of a noisy 6-bit sweep needs few Newton iterations
     budget = LinkBudget(snr_db=snr_db)
-    starts, iterations = [], []
+    noises, widths, iterations = [], [], []
     real_init, real_fit = tr.default_init, tr.fit_hyperparams
 
-    def init(x, y, sigma_n):
-        starts.append(sigma_n)
-        return real_init(x, y, sigma_n)
+    def init(y, sigma_n, half_widths):
+        noises.append(sigma_n)
+        widths.append(half_widths)
+        return real_init(y, sigma_n, half_widths)
 
     def fit(*args):
         res = real_fit(*args)
@@ -373,7 +383,9 @@ def test_initial_fit_starts_where_fits_end(monkeypatch, snr_db, bound):
         c = candidate_set(su, sv, CFG, 6)
         y = measure_beams(_chan(tu, tv), grid_weights(c, CFG, 6), budget, g) / NORM
         tr._initial_surface(c, y, CFG, budget)
-    assert starts == [math.sqrt(budget.sigma_n2 / 2.0) / NORM] * 40
+    assert noises == [math.sqrt(budget.sigma_n2 / 2.0) / NORM] * 40
+    # the search box, seed -/+ 2 / nx
+    assert np.allclose(widths, 2.0 / CFG.nx, rtol=1e-12, atol=0.0)
     assert len(iterations) == 40
     assert np.mean(iterations) <= bound
 
@@ -386,7 +398,8 @@ def test_analog_iterate_sequence_monotone_on_noiseless_surface():
         h = _chan(tu, tv)
         c = candidate_set(su, sv, CFG, 6)
         y = np.abs(grid_weights(c, CFG, 6).conj() @ h) / NORM
-        fit = fit_hyperparams(c.points, y, default_init(c.points, y, 0.0), tr.FIT_MAX_ITER)
+        start = default_init(y, 0.0, (c.hi - c.lo) / 2.0)
+        fit = fit_hyperparams(c.points, y, start, tr.FIT_MAX_ITER)
         model = make_model(c.points, y, fit.hyperparams)
         x = c.points[int(np.argmax(y))]
         path = []
